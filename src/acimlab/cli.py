@@ -47,14 +47,18 @@ def _fmt(value) -> str:
 
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".acimlab-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".acimlab-", suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.chmod(tmp, 0o644)
         os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
+    except BaseException as exc:
+        if tmp is not None:
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ParameterError(f"cannot write output {path}: {exc.strerror}") from exc
         raise
 
 
@@ -185,11 +189,49 @@ def build_parser() -> argparse.ArgumentParser:
 FALLBACKS = {"p": 1.0, "q": 1.0, "r": 1.0}
 
 
+def _is_number(value, kind) -> bool:
+    """Whether a JSON value fits an int- or float-typed option (bool never does)."""
+    kinds = (int,) if kind is int else (int, float)
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _check_config_value(key: str, value, action: argparse.Action | None) -> None:
+    """Reject a config-file value the matching flag could not have produced.
+
+    JSON null leaves the option unset, as an absent entry does.
+    """
+    if action is None or value is None:
+        return
+    if action.choices is not None:
+        ok = value in action.choices
+    elif action.type in (int, float):
+        ok = _is_number(value, action.type)
+    elif action.nargs == 0:  # store_true
+        ok = isinstance(value, bool)
+    elif key == "a_schedule":
+        ok = isinstance(value, str) or (
+            isinstance(value, list) and all(_is_number(v, float) for v in value)
+        )
+    else:
+        ok = isinstance(value, str)
+    if not ok:
+        raise ParameterError(f"config: invalid value for {key}: {value!r}")
+
+
+def _subcommand_actions(parser: argparse.ArgumentParser, command: str) -> dict:
+    """dest -> argparse action for the options of one subcommand."""
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {a.dest: a for a in subparsers.choices[command]._actions}
+
+
 def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
     """Apply config-file values under explicit flags, return the resolved map.
 
     Precedence per option: explicit flag, then config-file entry (keyed by
     the underscore name), then the built-in fallback where one exists.
+    Config-file values must have the type the flag would give.
     """
     file_values = {}
     if args.config:
@@ -200,12 +242,14 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             raise ParameterError(f"config: cannot read {args.config}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ParameterError("config: top-level JSON object required")
+    actions = _subcommand_actions(parser, args.command)
     resolved = {}
     for key, value in sorted(vars(args).items()):
         if key in ("config",):
             continue
         if value is None and key in file_values:
             value = file_values[key]
+            _check_config_value(key, value, actions.get(key))
         if value is None and key in FALLBACKS:
             value = FALLBACKS[key]
         setattr(args, key, value)

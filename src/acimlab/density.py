@@ -117,20 +117,25 @@ class PiecewiseConstantDensity:
         return PiecewiseConstantDensity(np.array(bp), np.array(vals))
 
 
-def accumulate_indicators(
-    terms, base: float = 0.0, domain: tuple[float, float] = (0.0, 1.0)
+def _accumulate(
+    lo: np.ndarray,
+    hi: np.ndarray,
+    w: np.ndarray,
+    base: float,
+    domain: tuple[float, float],
 ) -> PiecewiseConstantDensity:
-    """Build base + sum of w * chi_[lo, hi] from (lo, hi, w) triples.
+    """Build base + sum_t w[t] * chi_[lo[t], hi[t]] from parallel arrays.
 
-    Interval endpoints closer than MERGE_TOL are merged before cells are
-    formed, so near-coincident orbit points cannot create zero-width cells.
+    Endpoints are clipped to the domain and endpoints closer than MERGE_TOL
+    are merged before cells are formed, so near-coincident orbit points
+    cannot create zero-width cells.  Each endpoint snaps to the first
+    (smallest) point of its merge cluster.  The +w/-w jumps are added in
+    term order, so every cell value is rounded exactly as a term-by-term
+    sum would round it.
     """
     d0, d1 = domain
-    points = [d0, d1]
-    for lo, hi, _ in terms:
-        points.append(min(max(lo, d0), d1))
-        points.append(min(max(hi, d0), d1))
-    pts = np.sort(np.array(points, dtype=float))
+    ends = np.minimum(np.maximum(np.column_stack((lo, hi)).ravel(), d0), d1)
+    pts = np.sort(np.concatenate(([d0, d1], ends)))
     # merge clusters of nearly identical points, keeping the first of each
     keep = np.empty(pts.size, dtype=bool)
     keep[0] = True
@@ -141,16 +146,26 @@ def accumulate_indicators(
     n_cells = bp.size - 1
     if n_cells < 1:
         raise ParameterError("degenerate domain")
-    delta = np.zeros(n_cells + 1)
-    for lo, hi, w in terms:
-        # each endpoint snaps to the first (smallest) point of its merge cluster
-        i = int(np.searchsorted(bp, min(max(lo, d0), d1), side="right")) - 1
-        j = int(np.searchsorted(bp, min(max(hi, d0), d1), side="right")) - 1
-        if j > i:
-            delta[i] += w
-            delta[j] -= w
+    cells = (np.searchsorted(bp, ends, side="right") - 1).reshape(-1, 2)
+    live = cells[:, 1] > cells[:, 0]
+    # the raveled rows interleave (i, j) in term order, and bincount adds in
+    # input order, so each slot sums its jumps in the order of the terms
+    jumps = np.outer(w[live], (1.0, -1.0)).ravel()
+    delta = np.bincount(cells[live].ravel(), weights=jumps, minlength=n_cells + 1)
     values = base + np.cumsum(delta[:-1])
     return PiecewiseConstantDensity(bp, values)
+
+
+def accumulate_indicators(
+    terms, base: float = 0.0, domain: tuple[float, float] = (0.0, 1.0)
+) -> PiecewiseConstantDensity:
+    """Build base + sum of w * chi_[lo, hi] from (lo, hi, w) triples.
+
+    Interval endpoints closer than MERGE_TOL are merged before cells are
+    formed (see ``_accumulate``).
+    """
+    table = np.array(terms, dtype=float).reshape(-1, 3)
+    return _accumulate(table[:, 0], table[:, 1], table[:, 2], base, domain)
 
 
 def refine_pair(f: PiecewiseConstantDensity, g: PiecewiseConstantDensity):
@@ -292,6 +307,14 @@ def _closed_form_k(params: WParams, threshold: float) -> int:
         2 * (beta2 - 1)
     )
     dist = x_l - z2
+    if not dist > 0:
+        raise ComputationError(
+            f"closed-form stopping index: x_l - W^2(1/2) = {dist!r} has cancelled "
+            f"in float64; the offset of the turning orbit from the fixed point "
+            f"must exceed the float64 spacing at x_l ({math.ulp(x_l):.1e}), so "
+            f"a = {params.a!r} is below the precision floor",
+            dist=dist,
+        )
     # z_m <= threshold  iff  dist * beta2^(m-2) >= x_l - threshold
     guess = 2 + math.ceil(math.log((x_l - threshold) / dist) / math.log(beta2))
     m = max(2, guess - 3)
@@ -486,6 +509,8 @@ def density_series(
     operator then reproduces the result to within twice that truncation.
     """
     _require_series_case(params, "density_series")
+    if not (math.isfinite(tail_tol) and tail_tol > 0):
+        raise ParameterError(f"tail_tol must be finite and > 0 (got {tail_tol!r})")
     lam = lambda_solve(params).lam
     pl_map = build_w_map(params)
     lam_min = pl_map.min_abs_slope
@@ -604,19 +629,23 @@ def transfer_operator_apply(
     contributing value/|slope| on the image interval; the results are summed
     on the merged grid.  Mass is preserved exactly up to rounding.
     """
-    terms = []
+    lows, highs, weights = [], [], []
     for branch in range(1, pl_map.n_branches + 1):
         d0, d1 = pl_map.branch_domain(branch)
         lefts = np.maximum(f.breakpoints[:-1], d0)
         rights = np.minimum(f.breakpoints[1:], d1)
-        weight = abs(pl_map.slopes[branch - 1])
-        for left, right, value in zip(lefts, rights, f.values):
-            if right <= left:
-                continue
-            y0 = pl_map.branch_value(branch, left)
-            y1 = pl_map.branch_value(branch, right)
-            if y1 < y0:
-                y0, y1 = y1, y0
-            terms.append((y0, y1, value / weight))
-    lo, hi = pl_map.domain
-    return accumulate_indicators(terms, base=0.0, domain=(lo, hi))
+        live = rights > lefts
+        slope = pl_map.slopes[branch - 1]
+        intercept = pl_map.intercepts[branch - 1]
+        y0 = slope * lefts[live] + intercept
+        y1 = slope * rights[live] + intercept
+        lows.append(np.minimum(y0, y1))
+        highs.append(np.maximum(y0, y1))
+        weights.append(f.values[live] / abs(slope))
+    return _accumulate(
+        np.concatenate(lows),
+        np.concatenate(highs),
+        np.concatenate(weights),
+        0.0,
+        pl_map.domain,
+    )

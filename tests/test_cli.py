@@ -204,3 +204,54 @@ def test_computation_error_exits_3(monkeypatch, capsys):
     )
     assert code == 3
     assert "synthetic blowup" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tail_tol", ["0", "nan", "-1e-10"])
+def test_bad_tail_tol_exits_2(tmp_path, run_cli, tail_tol):
+    result = run_cli(
+        ["density", "--s1", "1.5", "--s2", "3", "--p", "3", "--q", "2", "--r", "2",
+         "--a", "0.01", f"--tail-tol={tail_tol}", "--output", "x.csv"],
+        tmp_path,
+    )
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert "tail_tol" in result.stderr
+
+
+def test_cancelled_closed_form_offset_exits_3(tmp_path, run_cli):
+    result = run_cli(
+        ["density", "--s1", "2", "--s2", "2", "--p", "1", "--q", "1", "--r", "1",
+         "--a", "1e-9", "--output", "x.csv"],
+        tmp_path,
+    )
+    assert result.returncode == 3, result.stderr
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    assert "precision floor" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "config, args",
+    [
+        ({"s1": "abc"}, ["classify", "--s2", "3"]),
+        ({"s1": True}, ["classify", "--s2", "3"]),
+        ({"a_points": 3.0}, ["sweep", "--s1", "1.5", "--s2", "3", "--a-start", "0.01",
+                             "--a-stop", "0.001", "--output", "x.csv"]),
+    ],
+)
+def test_config_value_of_wrong_type_exits_2(tmp_path, run_cli, config, args):
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    result = run_cli(["--config", "cfg.json", *args], tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert next(iter(config)) in result.stderr
+
+
+@pytest.mark.parametrize("output", ["missing/x.csv", "taken"])
+def test_unwritable_output_exits_2(tmp_path, run_cli, output):
+    (tmp_path / "taken").mkdir()
+    result = run_cli([*DENSITY_EXAMPLE, "--output", output], tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert output in result.stderr
+    assert not list(tmp_path.rglob(".acimlab-*"))

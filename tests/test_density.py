@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acimlab.density import (
     PiecewiseConstantDensity,
@@ -22,7 +24,7 @@ from acimlab.density import (
 )
 from acimlab.errors import ComputationError, ParameterError
 from acimlab.wmap import WParams, build_w_map
-from conftest import draw_case_ii, draw_case_iii
+from conftest import draw_case_ii, draw_case_iii, valid_a_max
 
 FIG_PARAMS = WParams(1.5, 3.0, 3.0, 2.0, 2.0, 0.05)
 SMALL_LIFT = WParams(2.0, 2.0, 1.0, 1.0, 1.0, 0.01)
@@ -297,6 +299,35 @@ def test_transfer_operator_preserves_mass(rng):
         )
         pf = transfer_operator_apply(w, f)
         assert abs(pf.integral() - f.integral()) < 1e-12
+
+
+@st.composite
+def w_params(draw):
+    """Any valid map of the family: cases I-III, a from 0 to near its limit."""
+    s1, s2 = (draw(st.floats(1.05, 5.0)) for _ in range(2))
+    p, q, r = (draw(st.floats(0.3, 3.0)) for _ in range(3))
+    a = draw(st.floats(0.0, 0.9)) * valid_a_max(s1, s2, p, q, r)
+    return WParams(s1, s2, p, q, r, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=w_params(), log_bins=st.integers(6, 12), seed=st.integers(0, 2**32 - 1))
+def test_transfer_operator_matches_ulam_on_its_grid(params, log_bins, seed):
+    """Ulam's matrix is push-forward followed by bin averaging, exactly."""
+    from acimlab.ulam import build_ulam
+
+    w = build_w_map(params)
+    ulam = build_ulam(w, 2**log_bins)
+    widths = np.diff(ulam.edges)
+    values = np.random.default_rng(seed).uniform(0.1, 2.0, ulam.n_bins)
+    f = PiecewiseConstantDensity(ulam.edges, values / (values @ widths))
+    pf = transfer_operator_apply(w, f)
+    cdf = np.concatenate(([0.0], np.cumsum(pf.values * pf.widths)))
+    bin_mass = np.diff(np.interp(ulam.edges, pf.breakpoints, cdf))
+    ulam_mass = (f.values * widths) @ ulam.matrix
+    # L1 distance of the bin averages, bin_mass / widths against ulam_mass / widths
+    assert np.abs(bin_mass - ulam_mass).sum() <= 1e-12
+    assert abs(pf.integral() - f.integral()) <= 1e-12
 
 
 def test_transfer_operator_constant_mass():
