@@ -10,20 +10,20 @@ __version__ = "0.1.0"
 
 from .density import (
     BoundingDensities,
-    GoraSetup,
     LambdaData,
     PiecewiseConstantDensity,
     RegionIntegrals,
+    SeriesSolution,
     TurningOrbit,
     bounding_densities,
     density_series,
-    gora_setup,
     h0,
     l1_distance,
     lambda_solve,
     normalize,
     region_integrals,
     renormalized_density_vartheta0,
+    solve_series,
     transfer_operator_apply,
     turning_orbit,
     vartheta,
@@ -68,7 +68,6 @@ __all__ = [
     "ComputationError",
     "CounterexampleRow",
     "Family",
-    "GoraSetup",
     "InvariantIntervalReport",
     "LambdaData",
     "MeasureRepr",
@@ -77,6 +76,7 @@ __all__ = [
     "PiecewiseLinearMap",
     "RatioReport",
     "RegionIntegrals",
+    "SeriesSolution",
     "SweepRecord",
     "TurningOrbit",
     "UlamMatrix",
@@ -89,7 +89,6 @@ __all__ = [
     "counterexample_sequence",
     "density_series",
     "fixed_points",
-    "gora_setup",
     "h0",
     "invariant_interval_check",
     "l1_distance",
@@ -101,6 +100,7 @@ __all__ = [
     "region_integrals",
     "renormalized_density_vartheta0",
     "restricted_turning_map",
+    "solve_series",
     "stationary_density",
     "sweep",
     "transfer_operator_apply",

@@ -16,7 +16,7 @@ import sys
 import tempfile
 
 from . import __version__
-from .density import density_series, h0, normalize
+from .density import _require_series_case, density_series, h0, normalize
 from .errors import ComputationError, ParameterError
 from .experiments import (
     Family,
@@ -66,7 +66,16 @@ def _config_json(config: dict) -> str:
     return json.dumps(config, sort_keys=True)
 
 
-def _emit(path: str, fmt: str, config: dict, header: list[str], rows: list[list]) -> None:
+def _emit(
+    path: str,
+    fmt: str,
+    config: dict,
+    header: list[str],
+    rows: list[list],
+    monotone: dict[str, bool] | None = None,
+) -> None:
+    """Write rows as CSV or JSON.  The ratio report's ``monotone`` flags follow
+    the rows as a comment line (CSV) or a top-level key (JSON)."""
     if fmt == "csv":
         lines = [
             f"# acimlab {__version__}",
@@ -74,12 +83,17 @@ def _emit(path: str, fmt: str, config: dict, header: list[str], rows: list[list]
             ",".join(header),
         ]
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        if monotone is not None:
+            flags = ",".join(f"{k}={'yes' if v else 'no'}" for k, v in monotone.items())
+            lines.append(f"# monotone_approach: {flags}")
         _write_atomic(path, "\n".join(lines) + "\n")
     else:
         payload = {
             "meta": {"artifact": "acimlab", "version": __version__, "config": config},
             "rows": [dict(zip(header, row)) for row in rows],
         }
+        if monotone is not None:
+            payload["monotone_approach"] = monotone
         _write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -218,22 +232,28 @@ def _check_config_value(key: str, value, action: argparse.Action | None) -> None
         raise ParameterError(f"config: invalid value for {key}: {value!r}")
 
 
-def _subcommand_actions(parser: argparse.ArgumentParser, command: str) -> dict:
-    """dest -> argparse action for the options of one subcommand."""
-    subparsers = next(
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    """command name -> subparser."""
+    return next(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    return {a.dest: a for a in subparsers.choices[command]._actions}
+    ).choices
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+def _options(subparser: argparse.ArgumentParser) -> dict:
+    """dest -> argparse action for the options of one subcommand (no --help)."""
+    return {a.dest: a for a in subparser._actions if a.default is not argparse.SUPPRESS}
+
+
+def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser, argv) -> dict:
     """Apply config-file values under explicit flags, return the resolved map.
 
     Precedence per option: explicit flag, then config-file entry (keyed by
-    the underscore name), then the built-in fallback where one exists.
-    Config-file values must have the type the flag would give.
+    the underscore name), then the flag's default or the built-in fallback.
+    Every config-file key must name an option of some subcommand, and a
+    value must have the type the flag would give.  The file's values become
+    the subcommand's defaults and the command line is parsed again, so any
+    flag given on it still wins.
     """
-    file_values = {}
     if args.config:
         try:
             with open(args.config) as handle:
@@ -242,14 +262,21 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             raise ParameterError(f"config: cannot read {args.config}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ParameterError("config: top-level JSON object required")
-    actions = _subcommand_actions(parser, args.command)
+        subparsers = _subparsers(parser)
+        known = set().union(*(_options(sub) for sub in subparsers.values()))
+        actions = _options(subparsers[args.command])
+        for key, value in sorted(file_values.items()):
+            if key not in known:
+                raise ParameterError(f"config: unknown key {key!r}")
+            _check_config_value(key, value, actions.get(key))
+        subparsers[args.command].set_defaults(
+            **{k: v for k, v in file_values.items() if k in actions and v is not None}
+        )
+        vars(args).update(vars(parser.parse_args(argv)))
     resolved = {}
     for key, value in sorted(vars(args).items()):
-        if key in ("config",):
+        if key == "config":
             continue
-        if value is None and key in file_values:
-            value = file_values[key]
-            _check_config_value(key, value, actions.get(key))
         if value is None and key in FALLBACKS:
             value = FALLBACKS[key]
         setattr(args, key, value)
@@ -328,10 +355,20 @@ SWEEP_HEADER = [
 ]
 
 
-def _cmd_sweep(args, config):
-    _require(config, "s1", "s2", "p", "q", "r", "output")
+def _family_schedule(args) -> tuple[Family, list[float]]:
+    """The family and schedule of a sweep.  A schedule point the series route
+    cannot take (case II/III) is a configuration error, not an empty row."""
     schedule = _parse_schedule(args)
     family = Family(args.s1, args.s2, args.p, args.q, args.r)
+    if family.case != "I":
+        for a in schedule:
+            _require_series_case(family.at(a))
+    return family, schedule
+
+
+def _cmd_sweep(args, config):
+    _require(config, "s1", "s2", "p", "q", "r", "output")
+    family, schedule = _family_schedule(args)
     records = sweep(family, schedule, bins=args.bins)
     rows = []
     for rec in records:
@@ -345,8 +382,7 @@ def _cmd_sweep(args, config):
 
 def _cmd_ratios(args, config):
     _require(config, "s1", "s2", "p", "q", "r", "output")
-    schedule = _parse_schedule(args)
-    family = Family(args.s1, args.s2, args.p, args.q, args.r)
+    family, schedule = _family_schedule(args)
     report = asymptotic_ratio_report(family, schedule)
     t1, t2, t3, tb = ratio_targets(family)
     header = [
@@ -359,26 +395,7 @@ def _cmd_ratios(args, config):
          t1, t2, t3, tb]
         for rec in report.rows
     ]
-    if args.format == "csv":
-        flags = ",".join(
-            f"{name}={'yes' if report.monotone[name] else 'no'}"
-            for name in ("C1", "C2", "C3", "B")
-        )
-        lines = [
-            f"# acimlab {__version__}",
-            f"# config: {_config_json(config)}",
-            ",".join(header),
-        ]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        lines.append(f"# monotone_approach: {flags}")
-        _write_atomic(args.output, "\n".join(lines) + "\n")
-    else:
-        payload = {
-            "meta": {"artifact": "acimlab", "version": __version__, "config": config},
-            "rows": [dict(zip(header, row)) for row in rows],
-            "monotone_approach": report.monotone,
-        }
-        _write_atomic(args.output, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _emit(args.output, args.format, config, header, rows, monotone=report.monotone)
 
 
 def _cmd_counterexample(args, config):
@@ -406,7 +423,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _merge_config(args, parser)
+        config = _merge_config(args, parser, argv)
         COMMANDS[args.command](args, config)
     except ParameterError as exc:
         print(f"acimlab: config error: {exc}", file=sys.stderr)

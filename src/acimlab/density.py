@@ -30,9 +30,10 @@ from .errors import ComputationError, ParameterError
 from .wmap import PiecewiseLinearMap, WParams, build_w_map, classify_case
 
 MERGE_TOL = 1e-14  # breakpoints closer than this are treated as one point
-DEFAULT_SERIES_CUTOFF = 1e-12
+SERIES_CUTOFF = 1e-12  # truncation of the S-series behind Lambda
 DEFAULT_TAIL_TOL = 1e-10
 MAX_SERIES_TERMS = 1_000_000
+MAX_ORBIT_STEPS = 200_000  # steps allowed before the orbit leaves the rising branch
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +92,6 @@ class PiecewiseConstantDensity:
 
     def scale(self, c: float) -> "PiecewiseConstantDensity":
         return PiecewiseConstantDensity(self.breakpoints.copy(), self.values * c)
-
-    @property
-    def is_normalized(self) -> bool:
-        return abs(self.integral() - 1.0) <= 1e-12
 
     def sup(self) -> float:
         return float(self.values.max())
@@ -267,13 +264,25 @@ def _orbit_steps(pl_map: PiecewiseLinearMap):
         yield n, z, cum
 
 
-def _require_series_case(params: WParams, who: str) -> str:
-    case = classify_case(params.s1, params.s2)
-    if case == "I":
-        raise ParameterError(f"{who} requires 1/s1 + 1/s2 <= 1 (got case I)")
+def _require_series_case(params: WParams) -> None:
+    """Reject parameters outside the regime the series route is built for.
+
+    Besides 1/s1 + 1/s2 <= 1 and a > 0, the lifted turning value 1/2 + r*a
+    must land on the falling branch 3, i.e. r*a*(s2 + q*a - 1) < 1/2;
+    beyond that it lands on branch 4, the orbit's closed form no longer
+    holds, and k, the Lambda estimates and the region integrals lose their
+    meaning.
+    """
+    if classify_case(params.s1, params.s2) == "I":
+        raise ParameterError("the series route requires 1/s1 + 1/s2 <= 1 (got case I)")
     if not params.a > 0:
-        raise ParameterError(f"{who} requires a > 0")
-    return case
+        raise ParameterError("the series route requires a > 0")
+    lift_excess = params.r * params.a * (params.s2 + params.q * params.a - 1)
+    if not lift_excess < 0.5:
+        raise ParameterError(
+            "the series route requires r*a*(s2 + q*a - 1) < 1/2, so that the "
+            f"lifted turning value lands on the falling branch (got {lift_excess!r})"
+        )
 
 
 def closed_form_orbit_point(params: WParams, m: int) -> float:
@@ -325,79 +334,8 @@ def _closed_form_k(params: WParams, threshold: float) -> int:
     return m
 
 
-def turning_orbit(params: WParams, max_steps: int = 200_000) -> TurningOrbit:
-    """Follow the turning-point orbit until it exits the rising branch."""
-    _require_series_case(params, "turning_orbit")
-    pl_map = build_w_map(params)
-    threshold = pl_map.breakpoints[1]
-    orbit, cum_slopes = [], []
-    k = None
-    for n, z, cum in _orbit_steps(pl_map):
-        orbit.append(z)
-        cum_slopes.append(cum)
-        if z <= threshold:
-            k = n
-            break
-        if n >= max_steps:
-            raise ComputationError(
-                f"turning orbit did not exit the rising branch within "
-                f"{max_steps} steps; raise max_steps",
-                steps=max_steps,
-            )
-    return TurningOrbit(
-        orbit=np.array(orbit),
-        cum_slopes=np.array(cum_slopes),
-        k=k,
-        k1=(2 * k) // 3,
-        closed_form_k=_closed_form_k(params, threshold),
-        threshold=threshold,
-    )
-
-
 # ---------------------------------------------------------------------------
-# series coefficients and Lambda
-
-
-@dataclass(frozen=True)
-class GoraSetup:
-    """Data of the explicit piecewise-linear invariant-density formula
-    (Gora's method) specialized to the four-branch W family: branch maxima,
-    slopes, minima, digits (negated intercepts) and the two one-sided
-    turning points with their branch assignments."""
-
-    n_branches: int
-    n_turning: int
-    ell: int
-    alpha: tuple[float, ...]
-    beta: tuple[float, ...]
-    gamma: tuple[float, ...]
-    digits: tuple[float, ...]
-    critical_points: tuple[tuple[float, int], ...]
-    upper_points: tuple[tuple[float, int], ...]
-    lower_points: tuple[tuple[float, int], ...]
-    approach_left: tuple[tuple[float, int], ...]
-    approach_right: tuple[tuple[float, int], ...]
-
-
-def gora_setup(params: WParams) -> GoraSetup:
-    pl_map = build_w_map(params)
-    lift = 0.5 + params.r * params.a
-    c1 = (0.5, 2)  # turning point approached from the rising branch
-    c2 = (0.5, 3)  # and from the falling branch
-    return GoraSetup(
-        n_branches=4,
-        n_turning=2,
-        ell=0,
-        alpha=(1.0, lift, lift, 1.0),
-        beta=tuple(pl_map.slopes),
-        gamma=(0.0, 0.0, 0.0, 0.0),
-        digits=tuple(-c for c in pl_map.intercepts),
-        critical_points=(c1, c2),
-        upper_points=(c1, c2),
-        lower_points=(),
-        approach_left=(c2,),
-        approach_right=(c1,),
-    )
+# the series solution: orbit, Lambda and density from one walk
 
 
 @dataclass(frozen=True)
@@ -420,39 +358,81 @@ def vartheta(s1: float, s2: float) -> float:
     return 1.0 - ((s1 + s2) / (s1 * s2) + (s1 + s2) / (s2 * s2 * (s1 - 1)))
 
 
-def lambda_solve(
-    params: WParams, series_cutoff: float = DEFAULT_SERIES_CUTOFF
-) -> LambdaData:
-    """Sum the S-series along the turning orbit and solve for Lambda.
+def _series_prefactor(params: WParams) -> float:
+    return 1.0 + (params.s1 + params.p * params.a) / (params.s2 + params.q * params.a)
 
-    S11 counts steps whose cumulative slope sign matches the side of 1/2 the
-    orbit point falls on; S22 uses the opposite pairing with the cumulative
-    slope started on the falling branch.  Both series are truncated when the
-    geometric tail bound drops below series_cutoff.  Lambda is obtained from
-    the 2x2 system and cross-checked against the closed-form expression; the
-    estimates lam_low <= lam <= lam_high (as an interval) come from bounding
-    the series by geometric sums cut at k1.
+
+@dataclass(frozen=True)
+class SeriesSolution:
+    """The turning orbit, Lambda and the raw (non-normalized) series density
+    of one map, all taken from a single walk of the turning orbit."""
+
+    params: WParams
+    orbit: TurningOrbit
+    lam: LambdaData
+    density: PiecewiseConstantDensity
+
+
+def solve_series(params: WParams, tail_tol: float = DEFAULT_TAIL_TOL) -> SeriesSolution:
+    """Walk the turning orbit once and derive k, Lambda and the series density.
+
+    The walk goes only as far as the longest of three stopping rules needs:
+
+    * S11 counts steps whose cumulative slope sign matches the side of 1/2
+      the orbit point falls on; S22 uses the opposite pairing with the
+      cumulative slope started on the falling branch.  Both stop once their
+      geometric tail bound drops below SERIES_CUTOFF.  Lambda = 1/(1 - S11 -
+      S22) is cross-checked against the 2x2 system, and lam_low, lam_high
+      bound the series by geometric sums cut at k1.
+    * k is the first step at or below the left breakpoint of the rising
+      branch.
+    * The density adds, per step, an indicator of [0, z_n] (positive
+      cumulative slope) or [z_n, 1] (negative) weighted by the reciprocal
+      cumulative slope, until the remaining mass, prefactor and Lambda
+      included, is below tail_tol; the exact transfer operator then
+      reproduces it to within twice that truncation.
+
+    Each rule first rescans the steps already taken, so every sum stops at
+    the index, and adds in the order, that a walk of its own would.
     """
-    _require_series_case(params, "lambda_solve")
+    _require_series_case(params)
+    if not (math.isfinite(tail_tol) and tail_tol > 0):
+        raise ParameterError(f"tail_tol must be finite and > 0 (got {tail_tol!r})")
     s1, s2, p, q, a = params.s1, params.s2, params.p, params.q, params.a
     pl_map = build_w_map(params)
     lam_min = pl_map.min_abs_slope
+    threshold = pl_map.breakpoints[1]
+    steps = _orbit_steps(pl_map)
+    zs, cums = [], []
+
+    def first(stop, limit, message):
+        """1-based index of the first step with stop(z, cum), walking on as needed."""
+        n = 0
+        while True:
+            if n == len(zs):
+                _, z, cum = next(steps)
+                zs.append(z)
+                cums.append(cum)
+            n += 1
+            if stop(zs[n - 1], cums[n - 1]):
+                return n
+            if n >= limit:
+                raise ComputationError(message, steps=n)
+
+    n_terms = first(
+        lambda z, cum: 1.0 / (abs(cum) * (lam_min - 1.0)) < SERIES_CUTOFF,
+        MAX_SERIES_TERMS,
+        "S-series did not meet the cutoff",
+    )
     ratio_12 = -(s2 + q * a) / (s1 + p * a)  # cum-slope ratio of the two sides
     s11 = 0.0
     s22 = 0.0
-    n_terms = 0
-    for n, z, cum in _orbit_steps(pl_map):
-        n_terms = n
+    for z, cum in zip(zs[:n_terms], cums[:n_terms]):
         if (cum > 0 and z > 0.5) or (cum < 0 and z < 0.5):
             s11 += 1.0 / abs(cum)
         cum2 = cum * ratio_12
         if (cum2 < 0 and z > 0.5) or (cum2 > 0 and z < 0.5):
             s22 += 1.0 / abs(cum2)
-        if 1.0 / (abs(cum) * (lam_min - 1.0)) < series_cutoff:
-            break
-        if n >= MAX_SERIES_TERMS:
-            raise ComputationError("S-series did not meet the cutoff", terms=n)
-
     denominator = 1.0 - (s11 + s22)
     if abs(denominator) < 1e-14:
         raise ComputationError(
@@ -471,62 +451,69 @@ def lambda_solve(
             solved=(d1, d2),
         )
 
-    k1 = turning_orbit(params).k1
+    k = first(
+        lambda z, cum: z <= threshold,
+        MAX_ORBIT_STEPS,
+        f"turning orbit did not exit the rising branch within "
+        f"max_steps = {MAX_ORBIT_STEPS} steps",
+    )
+    orbit = TurningOrbit(
+        orbit=np.array(zs[:k]),
+        cum_slopes=np.array(cums[:k]),
+        k=k,
+        k1=(2 * k) // 3,
+        closed_form_k=_closed_form_k(params, threshold),
+        threshold=threshold,
+    )
+
     kappa = (s1 + s2 + p * a + q * a) / ((s1 + p * a) * (s2 + q * a))
     eta = (s1 + s2 + p * a + q * a) / ((s2 + q * a) ** 2 * (s1 + p * a - 1))
-    lam_low = 1.0 / (1.0 - (kappa + eta * (1.0 - (s1 + p * a) ** -(k1 - 1))))
-    lam_high = 1.0 / (1.0 - (kappa + eta))
-    return LambdaData(
+    lam_data = LambdaData(
         s11=s11,
         s22=s22,
         lam=lam,
-        lam_low=lam_low,
-        lam_high=lam_high,
+        lam_low=1.0 / (1.0 - (kappa + eta * (1.0 - (s1 + p * a) ** -(orbit.k1 - 1)))),
+        lam_high=1.0 / (1.0 - (kappa + eta)),
         kappa=kappa,
         eta=eta,
         vartheta=vartheta(s1, s2),
         n_terms=n_terms,
     )
 
+    coeff = _series_prefactor(params) * lam
+    n_density = first(
+        lambda z, cum: abs(coeff) / (abs(cum) * (lam_min - 1.0)) < tail_tol,
+        MAX_SERIES_TERMS,
+        "density series did not converge",
+    )
+    z = np.array(zs[:n_density])
+    cum = np.array(cums[:n_density])
+    rising = cum > 0
+    density = _accumulate(
+        np.where(rising, 0.0, z), np.where(rising, z, 1.0), coeff / np.abs(cum), 1.0, (0.0, 1.0)
+    )
+    return SeriesSolution(params=params, orbit=orbit, lam=lam_data, density=density)
 
-# ---------------------------------------------------------------------------
-# the invariant density series and its companions
+
+def turning_orbit(params: WParams) -> TurningOrbit:
+    """The turning-point orbit up to its exit from the rising branch."""
+    return solve_series(params).orbit
 
 
-def _series_prefactor(params: WParams) -> float:
-    return 1.0 + (params.s1 + params.p * params.a) / (params.s2 + params.q * params.a)
+def lambda_solve(params: WParams) -> LambdaData:
+    """The S-series along the turning orbit and the Lambda they determine."""
+    return solve_series(params).lam
 
 
 def density_series(
     params: WParams, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> PiecewiseConstantDensity:
-    """The non-normalized invariant density as a piecewise-constant function.
+    """The non-normalized invariant density as a piecewise-constant function."""
+    return solve_series(params, tail_tol).density
 
-    Each orbit step contributes an indicator of [0, z_n] (positive cumulative
-    slope) or [z_n, 1] (negative) weighted by the reciprocal cumulative
-    slope.  The sum runs along the computed orbit until the remaining mass,
-    including the series prefactor, is below tail_tol; the exact transfer
-    operator then reproduces the result to within twice that truncation.
-    """
-    _require_series_case(params, "density_series")
-    if not (math.isfinite(tail_tol) and tail_tol > 0):
-        raise ParameterError(f"tail_tol must be finite and > 0 (got {tail_tol!r})")
-    lam = lambda_solve(params).lam
-    pl_map = build_w_map(params)
-    lam_min = pl_map.min_abs_slope
-    coeff = _series_prefactor(params) * lam
-    terms = []
-    for n, z, cum in _orbit_steps(pl_map):
-        w = coeff / abs(cum)
-        if cum > 0:
-            terms.append((0.0, z, w))
-        else:
-            terms.append((z, 1.0, w))
-        if abs(coeff) / (abs(cum) * (lam_min - 1.0)) < tail_tol:
-            break
-        if n >= MAX_SERIES_TERMS:
-            raise ComputationError("density series did not converge", terms=n)
-    return accumulate_indicators(terms, base=1.0)
+
+# ---------------------------------------------------------------------------
+# companions of the series density
 
 
 @dataclass(frozen=True)
@@ -536,7 +523,7 @@ class BoundingDensities:
     which: str  # "case-II pair f_l/f_h" or "case-III pair f_l_hat/f_h_hat"
 
 
-def bounding_densities(params: WParams) -> BoundingDensities:
+def bounding_densities(solution: SeriesSolution) -> BoundingDensities:
     """Two-sided companions built from the k1-truncated series.
 
     f_high pairs the upper Lambda estimate with the truncated sum g_l, and
@@ -545,12 +532,9 @@ def bounding_densities(params: WParams) -> BoundingDensities:
     density pointwise; for positive Lambda they are analysis tools only (the
     density is then bracketed by 1 and a constant).
     """
-    case = _require_series_case(params, "bounding_densities")
-    orbit = turning_orbit(params)
-    lam = lambda_solve(params)
-    s1, s2, p, q, a = params.s1, params.s2, params.p, params.q, params.a
-    beta2 = s1 + p * a
-    fall = s2 + q * a
+    params, orbit, lam = solution.params, solution.orbit, solution.lam
+    beta2 = params.s1 + params.p * params.a
+    fall = params.s2 + params.q * params.a
     coeff = _series_prefactor(params)
 
     g_terms = [(0.0, orbit.point(1), 1.0 / beta2)]
@@ -562,7 +546,10 @@ def bounding_densities(params: WParams) -> BoundingDensities:
     f_low = accumulate_indicators(low_terms, base=1.0 + coeff * lam.lam_low * closure)
     high_terms = [(lo, hi, coeff * lam.lam_high * w) for lo, hi, w in g_terms]
     f_high = accumulate_indicators(high_terms, base=1.0)
-    which = "case-II pair f_l/f_h" if case == "II" else "case-III pair f_l_hat/f_h_hat"
+    if classify_case(params.s1, params.s2) == "II":
+        which = "case-II pair f_l/f_h"
+    else:
+        which = "case-III pair f_l_hat/f_h_hat"
     return BoundingDensities(f_low=f_low, f_high=f_high, which=which)
 
 
@@ -577,14 +564,13 @@ class RegionIntegrals:
     j3: tuple[float, float]
 
 
-def region_integrals(params: WParams, f: PiecewiseConstantDensity) -> RegionIntegrals:
+def region_integrals(orbit: TurningOrbit, f: PiecewiseConstantDensity) -> RegionIntegrals:
     """Integrals of f over [0, z_k1], (z_k1, lift] and (lift, 1].
 
     The middle region collapses the peak around the turning point; its left
     edge is the k1-th orbit point and its right edge the lifted turning
-    value 1/2 + r*a.
+    value 1/2 + r*a, the first orbit point.
     """
-    orbit = turning_orbit(params)
     t1 = orbit.point(orbit.k1)
     t2 = orbit.point(1)
     c1 = f.integral_over(0.0, t1)
@@ -612,8 +598,8 @@ def renormalized_density_vartheta0(
             "renormalized route requires vartheta ~ 0 "
             f"(got {vartheta(params.s1, params.s2)})"
         )
-    lam = lambda_solve(params).lam
-    return density_series(params, tail_tol).scale(1.0 / lam)
+    solution = solve_series(params, tail_tol)
+    return solution.density.scale(1.0 / solution.lam.lam)
 
 
 # ---------------------------------------------------------------------------

@@ -11,19 +11,16 @@ series machinery does not apply.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .density import (
     PiecewiseConstantDensity,
-    density_series,
+    SeriesSolution,
     normalize,
     region_integrals,
-    renormalized_density_vartheta0,
-    turning_orbit,
+    solve_series,
     vartheta,
 )
 from .errors import ComputationError, ParameterError
@@ -63,15 +60,19 @@ class SweepRecord:
     error: str | None = None
 
 
-def _normalized_density(params: WParams) -> PiecewiseConstantDensity:
-    """Normalized invariant density by the series, via the 1/Lambda route
-    when the family sits on the vartheta = 0 boundary."""
+def _solve_normalized(
+    params: WParams,
+) -> tuple[SeriesSolution, PiecewiseConstantDensity]:
+    """One series solve and its normalized density, taken via the 1/Lambda
+    route when the family sits on the vartheta = 0 boundary."""
+    solution = solve_series(params)
+    raw = solution.density
     if (
         classify_case(params.s1, params.s2) == "III"
         and abs(vartheta(params.s1, params.s2)) < VARTHETA_ZERO_TOL
     ):
-        return normalize(renormalized_density_vartheta0(params))
-    return normalize(density_series(params))
+        raw = raw.scale(1.0 / solution.lam.lam)
+    return solution, normalize(raw)
 
 
 def restricted_turning_map(params: WParams) -> PiecewiseLinearMap:
@@ -94,10 +95,10 @@ def _sweep_point(family: Family, a: float, bins: int) -> SweepRecord:
         ulam = build_ulam(restricted_turning_map(params), bins)
         h = stationary_density(ulam)
     else:
-        h = _normalized_density(params)
-        record.k = turning_orbit(params).k
+        solution, h = _solve_normalized(params)
+        record.k = solution.orbit.k
         if case == "II":
-            reg = region_integrals(params, density_series(params))
+            reg = region_integrals(solution.orbit, solution.density)
             record.c_over_a = (reg.c1 / a, reg.c2 / a, reg.c3 / a, reg.b / a)
     record.d_to_limit = wasserstein1(MeasureRepr(density=h), limit)
     record.sup_density = h.sup()
@@ -105,21 +106,11 @@ def _sweep_point(family: Family, a: float, bins: int) -> SweepRecord:
     return record
 
 
-def _max_workers(n_points: int) -> int:
-    env = os.environ.get("ACIMLAB_THREADS", "")
-    try:
-        cap = int(env) if env else 1
-    except ValueError:
-        cap = 1
-    return max(1, min(cap, n_points))
-
-
 def sweep(family: Family, a_schedule, bins: int = 4096) -> list[SweepRecord]:
     """Evaluate the family along a strictly decreasing schedule of a values.
 
-    Failures of individual points are recorded in their row and do not stop
-    the sweep.  Points are independent; ACIMLAB_THREADS > 1 runs them in a
-    thread pool, with results always reported in schedule order.
+    Failures of individual points, parameters outside the series route's
+    regime included, are recorded in their row and do not stop the sweep.
     """
     a_schedule = [float(a) for a in a_schedule]
     if not a_schedule:
@@ -129,17 +120,13 @@ def sweep(family: Family, a_schedule, bins: int = 4096) -> list[SweepRecord]:
     for a in a_schedule:
         family.at(a)  # validates every point up front
 
-    def run(a: float) -> SweepRecord:
+    records = []
+    for a in a_schedule:
         try:
-            return _sweep_point(family, a, bins)
+            records.append(_sweep_point(family, a, bins))
         except (ComputationError, ParameterError) as exc:
-            return SweepRecord(a=a, case=family.case, error=str(exc))
-
-    workers = _max_workers(len(a_schedule))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, a_schedule))
-    return [run(a) for a in a_schedule]
+            records.append(SweepRecord(a=a, case=family.case, error=str(exc)))
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +192,7 @@ def uniform_bound_check(family: Family, a_schedule) -> BoundReport:
         raise ParameterError("uniform_bound_check requires a case-III family")
     per_a = []
     for a in a_schedule:
-        h = _normalized_density(family.at(float(a)))
+        _, h = _solve_normalized(family.at(float(a)))
         per_a.append((float(a), h.sup()))
     sups = [s for _, s in per_a]
     return BoundReport(
@@ -253,7 +240,7 @@ def counterexample_sequence(n_max: int, search_schedule=None) -> list[Counterexa
         for a in candidates:
             if not r * a < 0.5:
                 continue
-            h = _normalized_density(family.at(float(a)))
+            _, h = _solve_normalized(family.at(float(a)))
             d = wasserstein1(MeasureRepr(density=h), limit)
             best = min(best, d)
             if d < 1.0 / n:

@@ -109,23 +109,8 @@ class PiecewiseLinearMap:
         i = bisect_right(self.breakpoints, x) - 1
         return min(max(i, 0), self.n_branches - 1) + 1
 
-    def two_sided_branches(self, x: float) -> tuple[int, int]:
-        """Branch indices for the left and right one-sided limits at x.
-
-        At an interior breakpoint these differ; the turning point of a W map
-        reports (2, 3).  Away from breakpoints both equal branch_index(x).
-        """
-        right = self.branch_index(x)
-        left = right
-        if x == self.breakpoints[right - 1] and right > 1:
-            left = right - 1
-        return left, right
-
     def branch_value(self, branch: int, x: float) -> float:
         return self.slopes[branch - 1] * x + self.intercepts[branch - 1]
-
-    def branch_inverse(self, branch: int, y: float) -> float:
-        return (y - self.intercepts[branch - 1]) / self.slopes[branch - 1]
 
     def branch_domain(self, branch: int) -> tuple[float, float]:
         return self.breakpoints[branch - 1], self.breakpoints[branch]

@@ -22,6 +22,7 @@ from acimlab.density import (
     normalize,
     refine_pair,
     region_integrals,
+    solve_series,
     transfer_operator_apply,
     turning_orbit,
     vartheta,
@@ -132,7 +133,7 @@ def test_criterion_5_case_ii_asymptotics():
         assert targets == pytest.approx((-28 / 9, -6.0, -7 / 9, -89 / 9), abs=1e-12)
         errors = []
         for a in (1e-2, 1e-3, 1e-4):
-            reg = region_integrals(family.at(a), density_series(family.at(a)))
+            reg = region_integrals(turning_orbit(family.at(a)), density_series(family.at(a)))
             ratios = (reg.c1 / a, reg.c2 / a, reg.c3 / a, reg.b / a)
             errors.append([abs(x - t) for x, t in zip(ratios, targets)])
             if a == 1e-4:
@@ -194,8 +195,8 @@ def test_criterion_8_case_iii_uniform_bounds():
         assert all(b < a for a, b in zip(l1s, l1s[1:]))
         assert l1s[-1] < 0.02
         params = family.at(1e-4)
-        for f in (density_series(params), bounding_densities(params).f_high):
-            reg = region_integrals(params, f)
+        for f in (density_series(params), bounding_densities(solve_series(params)).f_high):
+            reg = region_integrals(turning_orbit(params), f)
             assert reg.c1 == pytest.approx(1.25, rel=0.05)
             assert reg.c3 == pytest.approx(0.75, rel=0.05)
             assert reg.b == pytest.approx(2.0, rel=0.05)

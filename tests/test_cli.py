@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -255,3 +256,79 @@ def test_unwritable_output_exits_2(tmp_path, run_cli, output):
     assert "Traceback" not in result.stderr
     assert output in result.stderr
     assert not list(tmp_path.rglob(".acimlab-*"))
+
+
+RATIOS_GOLDEN = [
+    "ratios", "--s1", "1.5", "--s2", "3", "--p", "3", "--q", "2", "--r", "2",
+    "--a-start", "0.01", "--a-stop", "0.0001", "--a-points", "3",
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_ratios_golden(tmp_path, run_cli, fmt):
+    name = f"ratios_fig_family_3pt.{fmt}"
+    result = run_cli([*RATIOS_GOLDEN, "--format", fmt, "--output", name], tmp_path)
+    assert result.returncode == 0, result.stderr
+    golden = Path(__file__).parent / "goldens" / name
+    assert (tmp_path / name).read_bytes() == golden.read_bytes()
+
+
+def _config_run(tmp_path, run_cli, config, *flags):
+    """The Markov density example with bins and grid alignment left to config."""
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    return run_cli(
+        ["--config", "cfg.json", "density", "--s1", "2", "--s2", "2", "--a", "0",
+         "--method", "ulam", *flags, "--output", "d.csv"],
+        tmp_path,
+    )
+
+
+def test_config_entry_beats_flag_default(tmp_path, run_cli):
+    result = _config_run(tmp_path, run_cli, {"bins": 2, "align_half": True})
+    assert result.returncode == 0, result.stderr
+    lines = (tmp_path / "d.csv").read_text().splitlines()
+    assert json.loads(lines[1].removeprefix("# config: "))["bins"] == 2
+    assert lines[3:] == ["0.0,0.5,1.5", "0.5,1.0,0.5"]
+
+
+def test_explicit_flag_beats_config_entry(tmp_path, run_cli):
+    result = _config_run(tmp_path, run_cli, {"bins": 1024}, "--bins", "2", "--align-half")
+    assert result.returncode == 0, result.stderr
+    lines = (tmp_path / "d.csv").read_text().splitlines()
+    assert json.loads(lines[1].removeprefix("# config: "))["bins"] == 2
+    assert len(lines) == 5
+
+
+@pytest.mark.parametrize(
+    "config, needle",
+    [({"tial_tol": 1e-10}, "tial_tol"), ({"bins": 4096.0}, "bins"), ({"tail_tol": 0}, "tail_tol")],
+)
+def test_config_entry_is_applied_or_rejected(tmp_path, run_cli, config, needle):
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    result = run_cli(
+        ["--config", "cfg.json", "density", "--s1", "1.5", "--s2", "3", "--p", "3",
+         "--q", "2", "--r", "2", "--a", "0.01", "--output", "x.csv"],
+        tmp_path,
+    )
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert needle in result.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["density", "--a", "0.3", "--output", "x.csv"],
+        ["sweep", "--a-schedule", "0.3", "--output", "x.csv"],
+        ["ratios", "--a-schedule", "0.3", "--output", "x.csv"],
+    ],
+)
+def test_point_outside_structured_regime_exits_2(tmp_path, run_cli, args):
+    # r*a*(s2 + q*a - 1) = 0.69 > 1/2: the lifted turning value misses branch 3
+    family = ["--s1", "1.5", "--s2", "3", "--p", "1", "--q", "1", "--r", "1"]
+    result = run_cli([args[0], *family, *args[1:]], tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert "falling branch" in result.stderr
+    assert not (tmp_path / "x.csv").exists()

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import acimlab.density as density
 from acimlab.density import (
     PiecewiseConstantDensity,
     accumulate_indicators,
     bounding_densities,
     density_series,
-    gora_setup,
     h0,
     l1_distance,
     lambda_solve,
@@ -18,6 +18,7 @@ from acimlab.density import (
     refine_pair,
     region_integrals,
     renormalized_density_vartheta0,
+    solve_series,
     transfer_operator_apply,
     turning_orbit,
     vartheta,
@@ -107,35 +108,6 @@ def test_normalize_degenerate():
 
 
 # ---------------------------------------------------------------------------
-# setup data
-
-
-def test_gora_setup_fig_family():
-    setup = gora_setup(FIG_PARAMS)
-    assert setup.n_branches == 4 and setup.n_turning == 2 and setup.ell == 0
-    assert setup.beta == pytest.approx((-3.3 / 0.45, 1.65, -3.1, 6.2 / 1.9), abs=1e-12)
-    assert setup.gamma == (0.0, 0.0, 0.0, 0.0)
-    assert setup.alpha == pytest.approx((1.0, 0.6, 0.6, 1.0), abs=1e-15)
-    assert setup.critical_points == ((0.5, 2), (0.5, 3))
-    assert setup.approach_right == ((0.5, 2),)
-    assert setup.approach_left == ((0.5, 3),)
-
-
-def test_gora_digits_are_negated_intercepts(rng):
-    for _ in range(50):
-        params = draw_case_ii(rng)
-        setup = gora_setup(params)
-        w = build_w_map(params)
-        assert setup.digits == pytest.approx([-c for c in w.intercepts], abs=1e-12)
-        assert setup.digits[0] == -1.0
-
-
-def test_gora_digit_two_at_zero():
-    setup = gora_setup(WParams(2.0, 2.0, 1.0, 1.0, 1.0, 0.0))
-    assert setup.digits[1] == pytest.approx(0.5, abs=1e-15)  # (s1 - 1)/2
-
-
-# ---------------------------------------------------------------------------
 # turning orbit
 
 
@@ -194,9 +166,10 @@ def test_turning_orbit_rejects_case_i():
         turning_orbit(WParams(2.0, 2.0, 1.0, 1.0, 1.0, 0.0))
 
 
-def test_turning_orbit_truncation_error():
+def test_turning_orbit_truncation_error(monkeypatch):
+    monkeypatch.setattr(density, "MAX_ORBIT_STEPS", 5)
     with pytest.raises(ComputationError, match="max_steps"):
-        turning_orbit(SMALL_LIFT, max_steps=5)
+        turning_orbit(SMALL_LIFT)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +324,7 @@ def test_series_vs_ulam_smoke():
 def test_sandwich_case_ii(rng):
     for _ in range(60):
         p = draw_case_ii(rng)
-        bounds = bounding_densities(p)
+        bounds = bounding_densities(solve_series(p))
         f = density_series(p)
         _, low, mid = refine_pair(bounds.f_low, f)
         assert np.all(low <= mid + 1e-9)
@@ -363,7 +336,7 @@ def test_sandwich_case_ii(rng):
 def test_sandwich_case_iii_negative_lambda(rng):
     for _ in range(40):
         p, _ = draw_case_iii_negative_lambda(rng)
-        bounds = bounding_densities(p)
+        bounds = bounding_densities(solve_series(p))
         f = density_series(p)
         _, low, mid = refine_pair(bounds.f_low, f)
         assert np.all(low <= mid + 1e-9)
@@ -414,7 +387,7 @@ def test_case_ii_coefficients_negative(rng):
         # cross-check the chi_1 coefficient against the built f_high plateau
         rise, fall = p.s1 + p.p * p.a, p.s2 + p.q * p.a
         total = p.s1 + p.s2 + p.p * p.a + p.q * p.a
-        bounds = bounding_densities(p)
+        bounds = bounding_densities(solve_series(p))
         plateau = bounds.f_high.value_at(orbit.point(orbit.k1) * 0.5)
         assert plateau == pytest.approx(
             total / (fall * rise) * lam.lam_high + 1.0, rel=1e-9
@@ -426,7 +399,7 @@ def test_g_l_sup_bound(rng):
     for _ in range(40):
         p = draw_case_iii(rng)
         lam = lambda_solve(p)
-        bounds = bounding_densities(p)
+        bounds = bounding_densities(solve_series(p))
         coeff = (1 + (p.s1 + p.p * p.a) / (p.s2 + p.q * p.a)) * lam.lam_high
         g_values = (bounds.f_high.values - 1.0) / coeff
         assert np.max(np.abs(g_values)) <= 1 / p.s1 + 1 / (p.s2 * (p.s1 - 1)) + 1e-12
@@ -437,7 +410,7 @@ def test_g_l_sup_bound(rng):
 
 
 def test_region_integrals_of_h0():
-    reg = region_integrals(SMALL_LIFT, h0(2.0, 2.0))
+    reg = region_integrals(turning_orbit(SMALL_LIFT), h0(2.0, 2.0))
     assert reg.b == pytest.approx(1.0, abs=1e-12)
     assert reg.c1 + reg.c2 + reg.c3 == pytest.approx(1.0, abs=1e-12)
 
@@ -446,14 +419,14 @@ def test_region_integrals_mass_additivity(rng):
     for _ in range(30):
         p = draw_case_ii(rng)
         f = density_series(p)
-        reg = region_integrals(p, f)
+        reg = region_integrals(turning_orbit(p), f)
         assert reg.c1 + reg.c2 + reg.c3 == pytest.approx(f.integral(), abs=1e-12)
 
 
 def test_case_ii_region_signs(rng):
     for _ in range(30):
         p = draw_case_ii(rng, a_cap=0.02)
-        reg = region_integrals(p, density_series(p))
+        reg = region_integrals(turning_orbit(p), density_series(p))
         assert reg.c1 < 0 and reg.c2 < 0 and reg.c3 < 0 and reg.b < 0
         assert np.min(normalize(density_series(p)).values) >= 0.0
 
@@ -462,7 +435,8 @@ def test_case_iii_region_limits():
     # strongly expanding symmetric family: region integrals settle at
     # 1.25, 0, 0.75 with total 2
     reg = region_integrals(
-        WParams(4, 4, 1, 1, 1, 1e-4), density_series(WParams(4, 4, 1, 1, 1, 1e-4))
+        turning_orbit(WParams(4, 4, 1, 1, 1, 1e-4)),
+        density_series(WParams(4, 4, 1, 1, 1, 1e-4)),
     )
     assert reg.c1 == pytest.approx(1.25, rel=0.02)
     assert abs(reg.c2) < 0.02
@@ -519,6 +493,6 @@ def test_renormalized_preconditions():
 def test_normalize_case_iii_bound_toward_h0():
     errors = []
     for a in (0.05, 0.01, 0.001):
-        bounds = bounding_densities(WParams(4, 4, 1, 1, 1, a))
+        bounds = bounding_densities(solve_series(WParams(4, 4, 1, 1, 1, a)))
         errors.append(l1_distance(normalize(bounds.f_high), h0(4.0, 4.0)))
     assert errors[0] > errors[1] > errors[2]

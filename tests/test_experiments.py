@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import acimlab.density as density
 import acimlab.experiments as experiments
 from acimlab.errors import ComputationError, ParameterError
 from acimlab.experiments import (
@@ -60,28 +61,18 @@ def test_sweep_validates_schedule():
 
 
 def test_sweep_records_point_failures(monkeypatch):
-    original = experiments.density_series
+    original = experiments.solve_series
 
     def flaky(params, tail_tol=1e-10):
         if params.a < 0.02:
             raise ComputationError("synthetic failure")
         return original(params, tail_tol)
 
-    monkeypatch.setattr(experiments, "density_series", flaky)
+    monkeypatch.setattr(experiments, "solve_series", flaky)
     records = sweep(FIG_FAMILY, [0.05, 0.01])
     assert records[0].error is None
     assert records[1].error is not None and "synthetic" in records[1].error
     assert records[1].a == 0.01
-
-
-def test_sweep_thread_pool_matches_serial(monkeypatch):
-    serial = sweep(FIG_FAMILY, [0.05, 0.02, 0.01])
-    monkeypatch.setenv("ACIMLAB_THREADS", "3")
-    threaded = sweep(FIG_FAMILY, [0.05, 0.02, 0.01])
-    for a, b in zip(serial, threaded):
-        assert a.a == b.a
-        assert a.d_to_limit == b.d_to_limit
-        assert a.c_over_a == b.c_over_a
 
 
 def test_ratio_targets_fig_family():
@@ -150,3 +141,46 @@ def test_counterexample_search_exhaustion():
 def test_counterexample_requires_positive_n():
     with pytest.raises(ParameterError):
         counterexample_sequence(0)
+
+
+def test_sweep_row_outside_structured_regime():
+    # r*a*(s2 + q*a - 1) = 0.69 > 1/2: the orbit's k and C/a would be meaningless
+    (record,) = sweep(Family(1.5, 3.0, 1.0, 1.0, 1.0), [0.3])
+    assert record.error is not None and "falling branch" in record.error
+    assert record.k is None and record.c_over_a is None and record.d_to_limit is None
+
+
+@pytest.fixture
+def walk_counts(monkeypatch):
+    """Count orbit walks and map builds made by the series route."""
+    counts = {"walks": 0, "builds": 0, "candidates": 0}
+
+    def counted(name, key, owner=density):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted("_orbit_steps", "walks")
+    counted("build_w_map", "builds")
+    counted("normalize", "candidates", owner=experiments)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "family", [FIG_FAMILY, STRONG_FAMILY, Family(3.0, 3.0, 1.0, 2.0, 0.5)],
+    ids=["case-II", "case-III", "vartheta-0"],
+)
+def test_one_orbit_walk_per_sweep_point(walk_counts, family):
+    records = sweep(family, [1e-2, 1e-3])
+    assert all(rec.error is None for rec in records)
+    assert walk_counts["walks"] == walk_counts["builds"] == 2
+
+
+def test_one_orbit_walk_per_counterexample_candidate(walk_counts):
+    counterexample_sequence(3)
+    assert walk_counts["candidates"] >= 3
+    assert walk_counts["walks"] == walk_counts["builds"] == walk_counts["candidates"]

@@ -70,7 +70,6 @@ def test_branch_index():
     assert w.branch_index(0.4) == 2
     assert w.branch_index(0.55) == 3
     assert w.branch_index(0.9) == 4
-    assert w.two_sided_branches(0.5) == (2, 3)
 
 
 def test_classify_case():
