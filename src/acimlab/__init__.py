@@ -8,104 +8,77 @@ and the vanishing lower bounds along sequences of maps.
 
 __version__ = "0.1.0"
 
-from .density import (
-    BoundingDensities,
-    LambdaData,
-    PiecewiseConstantDensity,
-    RegionIntegrals,
-    SeriesSolution,
-    TurningOrbit,
-    bounding_densities,
-    density_series,
-    h0,
-    l1_distance,
-    lambda_solve,
-    normalize,
-    region_integrals,
-    renormalized_density_vartheta0,
-    solve_series,
-    transfer_operator_apply,
-    turning_orbit,
-    vartheta,
-)
-from .errors import ComputationError, ParameterError
-from .experiments import (
-    BoundReport,
-    CounterexampleRow,
-    Family,
-    RatioReport,
-    SweepRecord,
-    asymptotic_ratio_report,
-    counterexample_sequence,
-    ratio_targets,
-    restricted_turning_map,
-    sweep,
-    uniform_bound_check,
-)
-from .ulam import (
-    MeasureRepr,
-    UlamMatrix,
-    build_ulam,
-    limit_measure,
-    point_mass,
-    stationary_density,
-    wasserstein1,
-)
-from .wmap import (
-    InvariantIntervalReport,
-    PiecewiseLinearMap,
-    WParams,
-    build_w_map,
-    classify_case,
-    fixed_points,
-    invariant_interval_check,
-)
+from importlib import import_module
 
-__all__ = [
-    "__version__",
-    "BoundReport",
-    "BoundingDensities",
-    "ComputationError",
-    "CounterexampleRow",
-    "Family",
-    "InvariantIntervalReport",
-    "LambdaData",
-    "MeasureRepr",
-    "ParameterError",
-    "PiecewiseConstantDensity",
-    "PiecewiseLinearMap",
-    "RatioReport",
-    "RegionIntegrals",
-    "SeriesSolution",
-    "SweepRecord",
-    "TurningOrbit",
-    "UlamMatrix",
-    "WParams",
-    "asymptotic_ratio_report",
-    "bounding_densities",
-    "build_ulam",
-    "build_w_map",
-    "classify_case",
-    "counterexample_sequence",
-    "density_series",
-    "fixed_points",
-    "h0",
-    "invariant_interval_check",
-    "l1_distance",
-    "lambda_solve",
-    "limit_measure",
-    "normalize",
-    "point_mass",
-    "ratio_targets",
-    "region_integrals",
-    "renormalized_density_vartheta0",
-    "restricted_turning_map",
-    "solve_series",
-    "stationary_density",
-    "sweep",
-    "transfer_operator_apply",
-    "turning_orbit",
-    "uniform_bound_check",
-    "vartheta",
-    "wasserstein1",
-]
+# submodule -> its public names.  Names resolve on first access (PEP 562), so
+# ``import acimlab`` loads no computing layer, and numpy or scipy load only
+# when a name that needs them is used.  Nothing is cached in this namespace:
+# every access reads the submodule's current attribute.
+_EXPORTS = {
+    "density": (
+        "BoundingDensities",
+        "LambdaData",
+        "PiecewiseConstantDensity",
+        "RegionIntegrals",
+        "SeriesSolution",
+        "TurningOrbit",
+        "bounding_densities",
+        "density_series",
+        "h0",
+        "l1_distance",
+        "lambda_solve",
+        "normalize",
+        "region_integrals",
+        "renormalized_density_vartheta0",
+        "solve_series",
+        "transfer_operator_apply",
+        "turning_orbit",
+        "vartheta",
+    ),
+    "errors": ("ComputationError", "ParameterError"),
+    "experiments": (
+        "BoundReport",
+        "CounterexampleRow",
+        "Family",
+        "RatioReport",
+        "SweepRecord",
+        "asymptotic_ratio_report",
+        "counterexample_sequence",
+        "ratio_targets",
+        "restricted_turning_map",
+        "sweep",
+        "uniform_bound_check",
+    ),
+    "ulam": (
+        "MeasureRepr",
+        "UlamMatrix",
+        "build_ulam",
+        "limit_measure",
+        "point_mass",
+        "stationary_density",
+        "wasserstein1",
+    ),
+    "wmap": (
+        "InvariantIntervalReport",
+        "PiecewiseLinearMap",
+        "WParams",
+        "build_w_map",
+        "classify_case",
+        "fixed_points",
+        "invariant_interval_check",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *sorted(_HOME)]
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{home}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

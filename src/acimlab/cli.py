@@ -14,19 +14,17 @@ import json
 import os
 import sys
 import tempfile
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .density import _require_series_case, density_series, h0, normalize
 from .errors import ComputationError, ParameterError
-from .experiments import (
-    Family,
-    asymptotic_ratio_report,
-    counterexample_sequence,
-    ratio_targets,
-    sweep,
-)
-from .ulam import build_ulam, stationary_density
 from .wmap import WParams, build_w_map, classify_case
+
+# The computing layers are imported inside the commands that use them, so a
+# call loads only what its subcommand runs: classify and map-eval need
+# neither numpy nor scipy, and only the Ulam route loads scipy.
+if TYPE_CHECKING:
+    from .experiments import Family
 
 EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
@@ -115,6 +113,8 @@ def _parse_schedule(args) -> list[float]:
     if args.a_points < 1:
         raise ParameterError("a_points must be >= 1")
     if args.a_spacing == "log":
+        if not (args.a_start > 0 and args.a_stop > 0):
+            raise ParameterError("a log-spaced schedule needs a_start > 0 and a_stop > 0")
         vals = np.logspace(np.log10(args.a_start), np.log10(args.a_stop), args.a_points)
     else:
         vals = np.linspace(args.a_start, args.a_stop, args.a_points)
@@ -306,7 +306,11 @@ def _cmd_map_eval(args, config):
 
 
 def _density_cells(args, method):
+    from .density import density_series, h0, normalize
+
     if method == "ulam":
+        from .ulam import build_ulam, stationary_density
+
         params = _wparams(args)
         ulam = build_ulam(build_w_map(params), args.bins, align_half=args.align_half)
         return stationary_density(ulam)
@@ -358,6 +362,9 @@ SWEEP_HEADER = [
 def _family_schedule(args) -> tuple[Family, list[float]]:
     """The family and schedule of a sweep.  A schedule point the series route
     cannot take (case II/III) is a configuration error, not an empty row."""
+    from .density import _require_series_case
+    from .experiments import Family
+
     schedule = _parse_schedule(args)
     family = Family(args.s1, args.s2, args.p, args.q, args.r)
     if family.case != "I":
@@ -367,6 +374,8 @@ def _family_schedule(args) -> tuple[Family, list[float]]:
 
 
 def _cmd_sweep(args, config):
+    from .experiments import sweep
+
     _require(config, "s1", "s2", "p", "q", "r", "output")
     family, schedule = _family_schedule(args)
     records = sweep(family, schedule, bins=args.bins)
@@ -381,6 +390,8 @@ def _cmd_sweep(args, config):
 
 
 def _cmd_ratios(args, config):
+    from .experiments import asymptotic_ratio_report, ratio_targets
+
     _require(config, "s1", "s2", "p", "q", "r", "output")
     family, schedule = _family_schedule(args)
     report = asymptotic_ratio_report(family, schedule)
@@ -399,6 +410,8 @@ def _cmd_ratios(args, config):
 
 
 def _cmd_counterexample(args, config):
+    from .experiments import counterexample_sequence
+
     _require(config, "output")
     if args.n_max is None or args.n_max < 1:
         raise ParameterError("n_max must be >= 1")
@@ -430,6 +443,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ComputationError as exc:
         print(f"acimlab: computation error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except MemoryError as exc:  # e.g. an Ulam grid too large to allocate
+        detail = f": {exc}" if str(exc) else ""
+        print(f"acimlab: computation error: out of memory{detail}", file=sys.stderr)
         return EXIT_COMPUTE
     return 0
 

@@ -10,13 +10,16 @@ sampling is involved anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .density import PiecewiseConstantDensity, h0
 from .errors import ComputationError, ParameterError
 from .wmap import PiecewiseLinearMap, classify_case
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 ROW_SUM_TOL = 1e-12
 MASS_TOL = 1e-12
@@ -43,6 +46,8 @@ def build_ulam(
     for even n_bins); this makes the discretization exact for maps whose
     invariant density only jumps at 1/2.
     """
+    import scipy.sparse as sp  # only the Ulam route pays for scipy's import
+
     if n_bins < 2:
         raise ParameterError("build_ulam requires n_bins >= 2")
     lo, hi = pl_map.domain

@@ -9,12 +9,11 @@ to zero again and up to (1,1).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-
-import numpy as np
 
 from .errors import ComputationError, ParameterError
 
@@ -123,14 +122,13 @@ class PiecewiseLinearMap:
     def __call__(self, x: float) -> float:
         return self.branch_value(self.branch_index(x), x)
 
-    def iterate(self, x: float, n: int) -> np.ndarray:
-        """Orbit (x, W(x), ..., W^n(x)) as an array of length n + 1."""
+    def iterate(self, x: float, n: int) -> list[float]:
+        """Orbit [x, W(x), ..., W^n(x)] as a list of length n + 1."""
         if n < 0:
             raise ParameterError("iteration count must be >= 0")
-        orbit = np.empty(n + 1)
-        orbit[0] = x
-        for i in range(n):
-            orbit[i + 1] = self(orbit[i])
+        orbit = [float(x)]
+        for _ in range(n):
+            orbit.append(self(orbit[-1]))
         return orbit
 
 
@@ -165,8 +163,11 @@ def classify_case(s1, s2) -> str:
     """Classify by 1/s1 + 1/s2: 'I' if > 1, 'II' if = 1, 'III' if < 1.
 
     Inputs typed as rationals (int, Fraction) are compared exactly; floats
-    are compared with absolute tolerance 1e-12.
+    are compared with absolute tolerance 1e-12.  NaN and infinite slopes are
+    rejected.
     """
+    if not all(isinstance(s, Rational) or math.isfinite(s) for s in (s1, s2)):
+        raise ParameterError("classification requires finite s1 and s2")
     if s1 <= 1 or s2 <= 1:
         raise ParameterError("classification requires s1 > 1 and s2 > 1")
     if isinstance(s1, Rational) and isinstance(s2, Rational):

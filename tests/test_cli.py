@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import acimlab.cli as cli
+import acimlab.density
+import acimlab.ulam
 from acimlab.errors import ComputationError
 
 DENSITY_EXAMPLE = [
@@ -198,7 +200,7 @@ def test_computation_error_exits_3(monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise ComputationError("synthetic blowup")
 
-    monkeypatch.setattr(cli, "density_series", explode)
+    monkeypatch.setattr(acimlab.density, "density_series", explode)
     code = cli.main(
         ["density", "--s1", "1.5", "--s2", "3", "--p", "3", "--q", "2", "--r", "2",
          "--a", "0.05", "--output", "never.csv"]
@@ -331,4 +333,46 @@ def test_point_outside_structured_regime_exits_2(tmp_path, run_cli, args):
     assert result.returncode == 2, result.stderr
     assert "Traceback" not in result.stderr
     assert "falling branch" in result.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("slopes", [("nan", "3"), ("inf", "3"), ("3", "nan"), ("3", "inf")])
+def test_classify_non_finite_slope_exits_2(tmp_path, run_cli, slopes):
+    s1, s2 = slopes
+    result = run_cli(["classify", "--s1", s1, "--s2", s2], tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert result.stderr == "acimlab: config error: classification requires finite s1 and s2\n"
+
+
+def test_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
+    # A huge --bins fails inside build_ulam's allocation. Simulate that rather
+    # than allocate for real, which could get the test process killed; the
+    # grid asked for is small, so a stub that is not reached allocates nothing.
+    def exhaust(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(acimlab.ulam, "build_ulam", exhaust)
+    code = cli.main(
+        ["density", "--s1", "1.5", "--s2", "3", "--p", "3", "--q", "2", "--r", "2",
+         "--a", "0.01", "--method", "ulam", "--bins", "64",
+         "--output", str(tmp_path / "never.csv")]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "acimlab: computation error: out of memory: Unable to allocate 745. GiB\n"
+
+
+@pytest.mark.parametrize("ends", [("0.01", "0"), ("0", "0.01"), ("-0.01", "0.001")])
+def test_log_schedule_needs_positive_ends(tmp_path, run_cli, ends):
+    start, stop = ends
+    result = run_cli(
+        ["sweep", "--s1", "3", "--s2", "3", "--a-start", start, "--a-stop", stop,
+         "--a-points", "3", "--output", "x.csv"],
+        tmp_path,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == (
+        "acimlab: config error: a log-spaced schedule needs a_start > 0 and a_stop > 0\n"
+    )
     assert not (tmp_path / "x.csv").exists()
