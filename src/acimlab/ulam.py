@@ -9,6 +9,7 @@ sampling is involved anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -23,6 +24,9 @@ if TYPE_CHECKING:
 
 ROW_SUM_TOL = 1e-12
 MASS_TOL = 1e-12
+RITZ_EVERY = 100  # unconverged power steps between Ritz restarts
+KRYLOV_DIM = 10  # Arnoldi basis size of one restart
+ARNOLDI_BREAKDOWN = 1e-14  # residual norm below which the Krylov space is invariant
 
 
 @dataclass(frozen=True)
@@ -94,23 +98,81 @@ def build_ulam(
     return UlamMatrix(edges=edges, matrix=matrix.tocsr())
 
 
+def _power_step(transposed, mass: np.ndarray) -> tuple[np.ndarray, float]:
+    """One normalised left power step and its L1 step length."""
+    new = transposed @ mass
+    new /= new.sum()
+    return new, float(np.abs(new - mass).sum())
+
+
+def _ritz_vector(transposed, start: np.ndarray) -> np.ndarray:
+    """Ritz vector for the Ritz value nearest 1 in the Krylov space of start.
+
+    Arnoldi with modified Gram-Schmidt builds an orthonormal basis of
+    span{start, A start, ..., A^(m-1) start} for A = transposed, and the
+    eigenvector of the small Hessenberg matrix whose eigenvalue is nearest 1
+    is lifted back through the basis.  The sign and scale are arbitrary.
+    """
+    dim = min(KRYLOV_DIM, start.size)
+    basis = np.empty((dim, start.size))
+    hess = np.zeros((dim, dim))
+    basis[0] = start / np.linalg.norm(start)
+    for j in range(dim):
+        w = transposed @ basis[j]
+        for i in range(j + 1):
+            hess[i, j] = basis[i] @ w
+            w -= hess[i, j] * basis[i]
+        if j + 1 == dim:
+            break
+        norm = np.linalg.norm(w)
+        if norm <= ARNOLDI_BREAKDOWN:  # the space is invariant: its Ritz pairs are exact
+            dim = j + 1
+            break
+        hess[j + 1, j] = norm
+        basis[j + 1] = w / norm
+    values, vectors = np.linalg.eig(hess[:dim, :dim])
+    nearest = int(np.argmin(np.abs(values - 1.0)))
+    return vectors[:, nearest].real @ basis[:dim]
+
+
 def stationary_density(
     ulam: UlamMatrix, tol: float = 1e-12, max_iters: int = 1_000_000
 ) -> PiecewiseConstantDensity:
-    """Stationary density of an Ulam matrix by left power iteration.
+    """Stationary density of an Ulam matrix by left power iteration with
+    Ritz restarts.
 
     Starts from the uniform mass vector and stops once successive mass
-    vectors differ by less than tol in L1.  The result is converted to a
-    density (mass per bin width) and, if the grid covers only part of
-    [0, 1], extended by zero so it always lives on the unit interval.
+    vectors differ by less than tol in L1.  After every RITZ_EVERY steps
+    that have not converged, a short Arnoldi run from the current iterate
+    proposes the Ritz vector for the Ritz value nearest 1, clipped to
+    non-negative mass and normalised; the iteration restarts from it only if
+    its own step is shorter than the current one.  Slowly mixing chains
+    (case II as a -> 0) then converge in about a hundred steps instead of
+    thousands, and periodic chains, where plain power iteration oscillates
+    forever, converge too.  A chain that converges within RITZ_EVERY steps
+    never reaches a restart and gets plain power iteration.
+
+    The result is converted to a density (mass per bin width) and, if the
+    grid covers only part of [0, 1], extended by zero so it always lives on
+    the unit interval.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ParameterError(f"stationary_density requires a finite tol > 0 (got {tol})")
+    if not max_iters >= 1:
+        raise ParameterError(f"stationary_density requires max_iters >= 1 (got {max_iters})")
     transposed = ulam.matrix.T.tocsr()
     n = ulam.n_bins
     mass = np.full(n, 1.0 / n)
-    for _ in range(max_iters):
-        new = transposed @ mass
-        new /= new.sum()
-        residual = float(np.abs(new - mass).sum())
+    for iteration in range(1, max_iters + 1):
+        new, residual = _power_step(transposed, mass)
+        if residual >= tol and iteration % RITZ_EVERY == 0:
+            proposal = _ritz_vector(transposed, new)
+            proposal = np.clip(proposal * np.sign(proposal.sum()), 0.0, None)
+            total = proposal.sum()
+            if np.isfinite(total) and total > 0:
+                stepped, stepped_residual = _power_step(transposed, proposal / total)
+                if stepped_residual < residual:
+                    new, residual = stepped, stepped_residual
         mass = new
         if residual < tol:
             break

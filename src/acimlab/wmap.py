@@ -37,6 +37,10 @@ class WParams:
     a: float
 
     def __post_init__(self):
+        for name in ("s1", "s2", "p", "q", "r", "a"):
+            value = getattr(self, name)
+            if not (isinstance(value, Rational) or math.isfinite(value)):
+                raise ParameterError(f"invalid parameters: require finite {name} (got {value})")
         checks = [
             (self.s1 > 1, "s1 > 1"),
             (self.s2 > 1, "s2 > 1"),

@@ -345,6 +345,19 @@ def test_classify_non_finite_slope_exits_2(tmp_path, run_cli, slopes):
     assert result.stderr == "acimlab: config error: classification requires finite s1 and s2\n"
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("s1", "inf"), ("s2", "nan"), ("p", "inf"), ("r", "-inf"), ("a", "nan")]
+)
+def test_map_eval_non_finite_parameter_exits_2(tmp_path, run_cli, flag, value):
+    params = {"s1": "2", "s2": "3", "p": "1", "q": "1", "r": "1", "a": "0.01", flag: value}
+    args = [f"--{name}={v}" for name, v in params.items()]  # "=" keeps "-inf" a value
+    result = run_cli(["map-eval", *args, "--x", "0.3"], tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert f"require finite {flag}" in result.stderr
+
+
 def test_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
     # A huge --bins fails inside build_ulam's allocation. Simulate that rather
     # than allocate for real, which could get the test process killed; the

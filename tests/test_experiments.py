@@ -44,6 +44,17 @@ def test_sweep_case_i_uses_ulam():
     assert all(rec.c_over_a is None and rec.k is None for rec in records)
 
 
+def test_sweep_periodic_case_i_chain():
+    # the restricted map's Ulam chain is periodic; plain power iteration ran a
+    # million steps here and recorded a convergence error
+    family = Family(1.883, 1.214, 1.605, 1.036, 1.886)
+    (record,) = sweep(family, [0.0053])
+    assert record.error is None and record.case == "I"
+    # the measure lives on [x_l, x_r], so it is this close to the atom at 1/2
+    x_l, x_r = fixed_points(family.at(0.0053))
+    assert 0.0 < record.d_to_limit <= max(0.5 - x_l, x_r - 0.5)
+
+
 def test_sweep_case_iii_l1_to_limit():
     records = sweep(STRONG_FAMILY, [0.05, 0.01, 0.001])
     ds = [rec.d_to_limit for rec in records]

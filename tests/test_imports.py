@@ -17,7 +17,8 @@ import json, sys
 import acimlab.cli as cli
 code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 loaded = {name.partition(".")[0] for name in sys.modules}
-print(json.dumps({"code": code, "numpy": "numpy" in loaded, "scipy": "scipy" in loaded}))
+print(json.dumps({"code": code, "numpy": "numpy" in loaded, "scipy": "scipy" in loaded,
+                  "sparse_linalg": "scipy.sparse.linalg" in sys.modules}))
 """
 
 FIG = ["--s1", "1.5", "--s2", "3", "--p", "3", "--q", "2", "--r", "2"]
@@ -81,6 +82,15 @@ def test_ulam_density_loads_scipy(loaded_after):
     report = loaded_after(["density", *FIG, "--a", "0.01", "--method", "ulam",
                            "--bins", "64", "--output", "u.csv"])
     assert report["scipy"]
+
+
+def test_ritz_restarts_leave_sparse_linalg_unloaded(loaded_after):
+    # a slowly mixing case-II chain reaches the Ritz restarts, which use numpy
+    # only: scipy.sparse.linalg (ARPACK) costs start-up time and memory
+    report = loaded_after(["density", *FIG, "--a", "0.001", "--method", "ulam",
+                           "--bins", "4096", "--output", "u.csv"])
+    assert report["scipy"]
+    assert not report["sparse_linalg"]
 
 
 def test_public_names_resolve_to_their_home_objects():

@@ -1,8 +1,13 @@
 """Ulam discretization, stationary vectors, Wasserstein distance, limits."""
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import acimlab.ulam as ulam_module
 from acimlab.density import (
     PiecewiseConstantDensity,
     h0,
@@ -11,6 +16,7 @@ from acimlab.density import (
     refine_pair,
 )
 from acimlab.errors import ParameterError
+from acimlab.experiments import restricted_turning_map
 from acimlab.ulam import (
     MeasureRepr,
     build_ulam,
@@ -20,7 +26,7 @@ from acimlab.ulam import (
     wasserstein1,
 )
 from acimlab.wmap import PiecewiseLinearMap, WParams, build_w_map
-from conftest import draw_any_case
+from conftest import draw_any_case, draw_case_i, draw_case_ii, draw_case_iii
 
 
 def w0_map(s1, s2):
@@ -103,6 +109,143 @@ def test_grid_refinement_consistency(family, a, bound):
     coarse = stationary_density(build_ulam(w, 2**12))
     fine = stationary_density(build_ulam(w, 2**14))
     assert l1_distance(coarse, fine) < bound
+
+
+# ---------------------------------------------------------------------------
+# stationary vectors: power iteration with Ritz restarts
+
+# a case-I restricted map whose Ulam chain is periodic: plain power iteration
+# oscillates with a step stuck near 0.06 and never converges
+PERIODIC_CASE_I = WParams(1.883, 1.214, 1.605, 1.036, 1.886, 0.0053)
+
+
+def direct_stationary_mass(ulam):
+    """Stationary mass vector by a sparse direct solve of m (P - I) = 0 with
+    the first equation replaced by sum(m) = 1."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import spsolve
+
+    system = (ulam.matrix.T - sp.identity(ulam.n_bins)).tolil()
+    system[0, :] = 1.0
+    rhs = np.zeros(ulam.n_bins)
+    rhs[0] = 1.0
+    return spsolve(system.tocsc(), rhs)
+
+
+def on_unit_interval(ulam, mass):
+    dens = PiecewiseConstantDensity(ulam.edges, mass / np.diff(ulam.edges))
+    return dens.embedded(0.0, 1.0)
+
+
+def plain_power_iteration(ulam, tol=1e-12, max_iters=100_000):
+    """The reference loop: left power iteration from uniform mass, no restarts."""
+    transposed = ulam.matrix.T.tocsr()
+    mass = np.full(ulam.n_bins, 1.0 / ulam.n_bins)
+    for _ in range(max_iters):
+        new = transposed @ mass
+        new /= new.sum()
+        residual = float(np.abs(new - mass).sum())
+        mass = new
+        if residual < tol:
+            return mass / np.diff(ulam.edges)
+    raise AssertionError("reference power iteration did not converge")
+
+
+def test_periodic_case_i_chain_converges():
+    ulam = build_ulam(restricted_turning_map(PERIODIC_CASE_I), 4096)
+    start = time.perf_counter()
+    dens = stationary_density(ulam)
+    assert time.perf_counter() - start < 1.0
+    reference = on_unit_interval(ulam, direct_stationary_mass(ulam))
+    assert l1_distance(dens, reference) < 1e-10
+
+
+def test_period_two_chain_with_transient_bin():
+    # bin 0 -> bins 1, 2 evenly; bins 1, 2 and 3 -> bin 0: period two, and
+    # bin 3 is transient, so the stationary mass is (1/2, 1/4, 1/4, 0)
+    shuttle = PiecewiseLinearMap(
+        breakpoints=(0.0, 0.25, 0.5, 0.75, 1.0),
+        slopes=(2.0, 1.0, 1.0, 1.0),
+        intercepts=(0.25, -0.25, -0.5, -0.75),
+    )
+    dens = stationary_density(build_ulam(shuttle, 4))
+    assert np.max(np.abs(dens.values - [2.0, 1.0, 1.0, 0.0])) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "proposal",
+    [np.ones, lambda n: np.full(n, np.nan), np.zeros],
+    ids=["uniform", "nan", "zero"],
+)
+def test_rejected_ritz_proposals_leave_plain_power_iteration(monkeypatch, proposal):
+    # about 2100 plain steps, so some twenty restarts are proposed and refused
+    ulam = build_ulam(build_w_map(WParams(1.5, 3.0, 3.0, 2.0, 2.0, 1e-3)), 1024)
+    proposals = []
+
+    def bad_ritz_vector(transposed, start):
+        proposals.append(start.size)
+        return proposal(start.size)
+
+    monkeypatch.setattr(ulam_module, "_ritz_vector", bad_ritz_vector)
+    dens = stationary_density(ulam)
+    assert len(proposals) > 10
+    assert np.array_equal(dens.breakpoints, ulam.edges)
+    assert np.array_equal(dens.values, plain_power_iteration(ulam))
+
+
+def test_ritz_vector_sign_is_immaterial(monkeypatch):
+    # an eigenvector's sign is arbitrary; the restart orients it by its sum
+    ulam = build_ulam(build_w_map(WParams(1.5, 3.0, 3.0, 2.0, 2.0, 1e-3)), 1024)
+    expected = stationary_density(ulam)
+    ritz_vector = ulam_module._ritz_vector
+    monkeypatch.setattr(ulam_module, "_ritz_vector", lambda t, s: -ritz_vector(t, s))
+    assert np.array_equal(stationary_density(ulam).values, expected.values)
+
+
+def test_restarts_only_after_ritz_every_steps(monkeypatch):
+    # a chain that converges within RITZ_EVERY steps never proposes a restart,
+    # so it gets today's plain power iteration bit for bit
+    ulam = build_ulam(w0_map(1.5, 3.0), 1023, align_half=True)
+    def no_restart(transposed, start):
+        pytest.fail("a restart was proposed before RITZ_EVERY steps")
+
+    monkeypatch.setattr(ulam_module, "_ritz_vector", no_restart)
+    dens = stationary_density(ulam)
+    assert np.array_equal(dens.values, plain_power_iteration(ulam))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    draw=st.sampled_from([draw_case_i, draw_case_ii, draw_case_iii]),
+    seed=st.integers(0, 2**32 - 1),
+    log_bins=st.integers(6, 10),
+)
+def test_stationary_density_matches_direct_solve(draw, seed, log_bins):
+    params = draw(np.random.default_rng(seed))
+    ulam = build_ulam(build_w_map(params), 2**log_bins)
+    tol = 1e-12
+    dens = stationary_density(ulam, tol=tol)
+    reference = on_unit_interval(ulam, direct_stationary_mass(ulam))
+    assert l1_distance(dens, reference) < 1e-9
+    mass = dens.values * np.diff(dens.breakpoints)
+    step = ulam.matrix.T @ mass
+    assert np.abs(step / step.sum() - mass).sum() < tol
+
+
+@pytest.mark.parametrize(
+    "kwargs, fragment",
+    [
+        (dict(tol=0.0), "tol"),
+        (dict(tol=-1.0), "tol"),
+        (dict(tol=float("nan")), "tol"),
+        (dict(tol=float("inf")), "tol"),
+        (dict(max_iters=0), "max_iters"),
+        (dict(max_iters=-5), "max_iters"),
+    ],
+)
+def test_stationary_density_rejects_bad_arguments(kwargs, fragment):
+    with pytest.raises(ParameterError, match=fragment):
+        stationary_density(build_ulam(w0_map(2.0, 2.0), 4), **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,13 @@ def test_fixed_points_case_i_ordering():
         (dict(r=3.0, a=0.2), "r*a < 1/2"),
         (dict(s1=1.05, r=3.0, a=0.15), "s1 - 1 + p*a - 2*r*a"),
         (dict(s2=1.05, s1=3.0, r=3.0, a=0.15), "s2 - 1 + q*a - 2*r*a"),
+        (dict(s1=float("inf")), "finite s1"),
+        (dict(s2=float("nan")), "finite s2"),
+        (dict(p=float("inf")), "finite p"),
+        (dict(q=float("-inf")), "finite q"),
+        (dict(r=float("nan")), "finite r"),
+        (dict(a=float("inf")), "finite a"),
+        (dict(a=float("nan")), "finite a"),
     ],
 )
 def test_invalid_params_rejected(kwargs, fragment):
