@@ -133,9 +133,9 @@ def _wparams(args, a=None) -> WParams:
 def _add_family_flags(parser, with_a=True):
     parser.add_argument("--s1", type=float, help="left slope at the turning point (> 1)")
     parser.add_argument("--s2", type=float, help="right slope magnitude at the turning point (> 1)")
-    parser.add_argument("--p", type=float, help="left slope perturbation rate (> 0)")
-    parser.add_argument("--q", type=float, help="right slope perturbation rate (> 0)")
-    parser.add_argument("--r", type=float, help="turning-point lift rate (> 0)")
+    parser.add_argument("--p", type=float, default=1.0, help="left slope perturbation rate (> 0)")
+    parser.add_argument("--q", type=float, default=1.0, help="right slope perturbation rate (> 0)")
+    parser.add_argument("--r", type=float, default=1.0, help="turning-point lift rate (> 0)")
     if with_a:
         parser.add_argument("--a", type=float, help="perturbation size (>= 0, r*a < 1/2)")
 
@@ -200,9 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-FALLBACKS = {"p": 1.0, "q": 1.0, "r": 1.0}
-
-
 def _is_number(value, kind) -> bool:
     """Whether a JSON value fits an int- or float-typed option (bool never does)."""
     kinds = (int,) if kind is int else (int, float)
@@ -248,11 +245,10 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser, arg
     """Apply config-file values under explicit flags, return the resolved map.
 
     Precedence per option: explicit flag, then config-file entry (keyed by
-    the underscore name), then the flag's default or the built-in fallback.
-    Every config-file key must name an option of some subcommand, and a
-    value must have the type the flag would give.  The file's values become
-    the subcommand's defaults and the command line is parsed again, so any
-    flag given on it still wins.
+    the underscore name), then the flag's default.  Every config-file key
+    must name an option of some subcommand, and a value must have the type
+    the flag would give.  The file's values become the subcommand's defaults
+    and the command line is parsed again, so any flag given on it still wins.
     """
     if args.config:
         try:
@@ -273,15 +269,7 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser, arg
             **{k: v for k, v in file_values.items() if k in actions and v is not None}
         )
         vars(args).update(vars(parser.parse_args(argv)))
-    resolved = {}
-    for key, value in sorted(vars(args).items()):
-        if key == "config":
-            continue
-        if value is None and key in FALLBACKS:
-            value = FALLBACKS[key]
-        setattr(args, key, value)
-        resolved[key] = value
-    return resolved
+    return {key: value for key, value in vars(args).items() if key != "config"}
 
 
 def _require(config: dict, *names: str) -> None:

@@ -33,7 +33,6 @@ MERGE_TOL = 1e-14  # breakpoints closer than this are treated as one point
 SERIES_CUTOFF = 1e-12  # truncation of the S-series behind Lambda
 DEFAULT_TAIL_TOL = 1e-10
 MAX_SERIES_TERMS = 1_000_000
-MAX_ORBIT_STEPS = 200_000  # steps allowed before the orbit leaves the rising branch
 
 
 # ---------------------------------------------------------------------------
@@ -101,17 +100,14 @@ class PiecewiseConstantDensity:
         positive = self.values[self.values > 0]
         return float(positive.min()) if positive.size else 0.0
 
-    def embedded(self, lo: float = 0.0, hi: float = 1.0) -> "PiecewiseConstantDensity":
-        """The same function extended by zero cells to cover [lo, hi]."""
-        bp = list(self.breakpoints)
-        vals = list(self.values)
-        if lo < bp[0]:
-            bp.insert(0, lo)
-            vals.insert(0, 0.0)
-        if hi > bp[-1]:
-            bp.append(hi)
-            vals.append(0.0)
-        return PiecewiseConstantDensity(np.array(bp), np.array(vals))
+    def embedded(self) -> "PiecewiseConstantDensity":
+        """The same function extended by zero cells to cover [0, 1]."""
+        bp, vals = self.breakpoints, self.values
+        if bp[0] > 0.0:
+            bp, vals = np.concatenate(([0.0], bp)), np.concatenate(([0.0], vals))
+        if bp[-1] < 1.0:
+            bp, vals = np.concatenate((bp, [1.0])), np.concatenate((vals, [0.0]))
+        return PiecewiseConstantDensity(bp, vals)
 
 
 def _accumulate(
@@ -153,18 +149,6 @@ def _accumulate(
     return PiecewiseConstantDensity(bp, values)
 
 
-def accumulate_indicators(
-    terms, base: float = 0.0, domain: tuple[float, float] = (0.0, 1.0)
-) -> PiecewiseConstantDensity:
-    """Build base + sum of w * chi_[lo, hi] from (lo, hi, w) triples.
-
-    Interval endpoints closer than MERGE_TOL are merged before cells are
-    formed (see ``_accumulate``).
-    """
-    table = np.array(terms, dtype=float).reshape(-1, 3)
-    return _accumulate(table[:, 0], table[:, 1], table[:, 2], base, domain)
-
-
 def refine_pair(f: PiecewiseConstantDensity, g: PiecewiseConstantDensity):
     """(grid, f values, g values) on the common refinement of two functions."""
     bp = np.union1d(f.breakpoints, g.breakpoints)
@@ -191,8 +175,7 @@ def normalize(f: PiecewiseConstantDensity) -> PiecewiseConstantDensity:
     total = f.integral()
     if abs(total) < 1e-300:
         raise ComputationError(
-            "degenerate normalization: integral is numerically zero "
-            "(near the vartheta = 0 regime, renormalize by 1/Lambda first)",
+            "degenerate normalization: integral is numerically zero",
             integral=total,
         )
     values = f.values / total
@@ -259,7 +242,7 @@ def _orbit_steps(pl_map: PiecewiseLinearMap):
         branch = pl_map.branch_index(z)
         cum *= pl_map.slopes[branch - 1]
         # images can leave the interval by an ulp; keep the walk well-defined
-        z = min(max(pl_map(z), lo), hi)
+        z = min(max(pl_map.branch_value(branch, z), lo), hi)
         n += 1
         yield n, z, cum
 
@@ -385,7 +368,9 @@ def solve_series(params: WParams, tail_tol: float = DEFAULT_TAIL_TOL) -> SeriesS
       S22) is cross-checked against the 2x2 system, and lam_low, lam_high
       bound the series by geometric sums cut at k1.
     * k is the first step at or below the left breakpoint of the rising
-      branch.
+      branch.  A walk that has not got there by twice the closed-form
+      index has lost the orbit to rounding (a below the precision floor)
+      and raises.
     * The density adds, per step, an indicator of [0, z_n] (positive
       cumulative slope) or [z_n, 1] (negative) weighted by the reciprocal
       cumulative slope, until the remaining mass, prefactor and Lambda
@@ -436,8 +421,7 @@ def solve_series(params: WParams, tail_tol: float = DEFAULT_TAIL_TOL) -> SeriesS
     denominator = 1.0 - (s11 + s22)
     if abs(denominator) < 1e-14:
         raise ComputationError(
-            "Lambda is numerically singular (1 - S11 - S22 ~ 0); "
-            "use the renormalized 1/Lambda route",
+            "Lambda is numerically singular (1 - S11 - S22 ~ 0)",
             denominator=denominator,
         )
     lam = 1.0 / denominator
@@ -451,18 +435,20 @@ def solve_series(params: WParams, tail_tol: float = DEFAULT_TAIL_TOL) -> SeriesS
             solved=(d1, d2),
         )
 
+    closed_form_k = _closed_form_k(params, threshold)
     k = first(
         lambda z, cum: z <= threshold,
-        MAX_ORBIT_STEPS,
-        f"turning orbit did not exit the rising branch within "
-        f"max_steps = {MAX_ORBIT_STEPS} steps",
+        2 * closed_form_k,
+        f"turning orbit did not exit the rising branch within 2 * closed_form_k "
+        f"= {2 * closed_form_k} steps: its offset from the fixed point is lost to "
+        f"float64 rounding, so a = {params.a!r} is below the precision floor",
     )
     orbit = TurningOrbit(
         orbit=np.array(zs[:k]),
         cum_slopes=np.array(cums[:k]),
         k=k,
         k1=(2 * k) // 3,
-        closed_form_k=_closed_form_k(params, threshold),
+        closed_form_k=closed_form_k,
         threshold=threshold,
     )
 
@@ -537,15 +523,18 @@ def bounding_densities(solution: SeriesSolution) -> BoundingDensities:
     fall = params.s2 + params.q * params.a
     coeff = _series_prefactor(params)
 
-    g_terms = [(0.0, orbit.point(1), 1.0 / beta2)]
-    for j in range(2, orbit.k1 + 1):
-        g_terms.append((orbit.point(j), 1.0, 1.0 / (fall * beta2 ** (j - 1))))
-    closure = 1.0 / (fall * (beta2 - 1.0) * beta2 ** (orbit.k1 - 1))
+    # g_l = chi_[0, z_1] / beta2 + sum_{j=2}^{k1} chi_[z_j, 1] / (fall * beta2^(j-1)).
+    # The weights use Python's float ** int: numpy's float ** int-array rounds
+    # some of them differently.
+    k1 = orbit.k1
+    lo = np.concatenate(([0.0], orbit.orbit[1:k1]))
+    hi = np.concatenate((orbit.orbit[:1], np.ones(k1 - 1)))
+    w = np.array([1.0 / beta2] + [1.0 / (fall * beta2 ** (j - 1)) for j in range(2, k1 + 1)])
+    closure = 1.0 / (fall * (beta2 - 1.0) * beta2 ** (k1 - 1))
 
-    low_terms = [(lo, hi, coeff * lam.lam_low * w) for lo, hi, w in g_terms]
-    f_low = accumulate_indicators(low_terms, base=1.0 + coeff * lam.lam_low * closure)
-    high_terms = [(lo, hi, coeff * lam.lam_high * w) for lo, hi, w in g_terms]
-    f_high = accumulate_indicators(high_terms, base=1.0)
+    low = coeff * lam.lam_low
+    f_low = _accumulate(lo, hi, low * w, 1.0 + low * closure, (0.0, 1.0))
+    f_high = _accumulate(lo, hi, coeff * lam.lam_high * w, 1.0, (0.0, 1.0))
     if classify_case(params.s1, params.s2) == "II":
         which = "case-II pair f_l/f_h"
     else:

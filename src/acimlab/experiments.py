@@ -15,19 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import (
-    PiecewiseConstantDensity,
-    SeriesSolution,
-    normalize,
-    region_integrals,
-    solve_series,
-    vartheta,
-)
+from .density import normalize, region_integrals, solve_series
 from .errors import ComputationError, ParameterError
 from .ulam import MeasureRepr, build_ulam, limit_measure, stationary_density, wasserstein1
 from .wmap import PiecewiseLinearMap, WParams, build_w_map, classify_case, fixed_points
-
-VARTHETA_ZERO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -60,21 +51,6 @@ class SweepRecord:
     error: str | None = None
 
 
-def _solve_normalized(
-    params: WParams,
-) -> tuple[SeriesSolution, PiecewiseConstantDensity]:
-    """One series solve and its normalized density, taken via the 1/Lambda
-    route when the family sits on the vartheta = 0 boundary."""
-    solution = solve_series(params)
-    raw = solution.density
-    if (
-        classify_case(params.s1, params.s2) == "III"
-        and abs(vartheta(params.s1, params.s2)) < VARTHETA_ZERO_TOL
-    ):
-        raw = raw.scale(1.0 / solution.lam.lam)
-    return solution, normalize(raw)
-
-
 def restricted_turning_map(params: WParams) -> PiecewiseLinearMap:
     """The two middle branches restricted to the invariant interval (case I)."""
     x_l, x_r = fixed_points(params)
@@ -95,7 +71,8 @@ def _sweep_point(family: Family, a: float, bins: int) -> SweepRecord:
         ulam = build_ulam(restricted_turning_map(params), bins)
         h = stationary_density(ulam)
     else:
-        solution, h = _solve_normalized(params)
+        solution = solve_series(params)
+        h = normalize(solution.density)
         record.k = solution.orbit.k
         if case == "II":
             reg = region_integrals(solution.orbit, solution.density)
@@ -192,7 +169,7 @@ def uniform_bound_check(family: Family, a_schedule) -> BoundReport:
         raise ParameterError("uniform_bound_check requires a case-III family")
     per_a = []
     for a in a_schedule:
-        _, h = _solve_normalized(family.at(float(a)))
+        h = normalize(solve_series(family.at(float(a))).density)
         per_a.append((float(a), h.sup()))
     sups = [s for _, s in per_a]
     return BoundReport(
@@ -215,13 +192,14 @@ class CounterexampleRow:
     essinf_n: float
 
 
-def counterexample_sequence(n_max: int, search_schedule=None) -> list[CounterexampleRow]:
+def counterexample_sequence(n_max: int) -> list[CounterexampleRow]:
     """For s1 = s2 = 2, p = q = 1, r_n = n, find a_n with d(mu, limit) < 1/n.
 
-    Searches each n down a geometric schedule (default a = 0.1/n * 2^-m,
-    m <= 40) and reports the essential infimum of the normalized density at
-    the first success.  The found infima vanish as n grows even though each
-    single map's density is bounded away from zero.
+    Searches each n down the geometric schedule a = 0.1/n * 2^-m, m <= 20,
+    which ends above the float64 floor of the turning-orbit walk (near
+    a = 1e-9 for these maps), and reports the essential infimum of the
+    normalized density at the first success.  The found infima vanish as n
+    grows even though each single map's density is bounded away from zero.
     """
     if n_max < 1:
         raise ParameterError("counterexample_sequence requires n_max >= 1")
@@ -230,22 +208,15 @@ def counterexample_sequence(n_max: int, search_schedule=None) -> list[Counterexa
         r = float(n)
         family = Family(2.0, 2.0, 1.0, 1.0, r)
         limit = limit_measure(2.0, 2.0, 1.0, 1.0, r)
-        candidates = (
-            search_schedule(n)
-            if search_schedule is not None
-            else (0.1 / r * 2.0**-m for m in range(41))
-        )
         best = np.inf
         hit = None
-        for a in candidates:
-            if not r * a < 0.5:
-                continue
-            _, h = _solve_normalized(family.at(float(a)))
+        for a in (0.1 / r * 2.0**-m for m in range(21)):
+            h = normalize(solve_series(family.at(a)).density)
             d = wasserstein1(MeasureRepr(density=h), limit)
             best = min(best, d)
             if d < 1.0 / n:
                 hit = CounterexampleRow(
-                    n=n, r_n=r, a_n=float(a), d_n=d, essinf_n=h.essential_infimum()
+                    n=n, r_n=r, a_n=a, d_n=d, essinf_n=h.essential_infimum()
                 )
                 break
         if hit is None:

@@ -9,7 +9,6 @@ sampling is involved anywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -22,8 +21,9 @@ from .wmap import PiecewiseLinearMap, classify_case
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-ROW_SUM_TOL = 1e-12
 MASS_TOL = 1e-12
+POWER_TOL = 1e-12  # L1 step length at which power iteration has converged
+MAX_POWER_STEPS = 1_000_000
 RITZ_EVERY = 100  # unconverged power steps between Ritz restarts
 KRYLOV_DIM = 10  # Arnoldi basis size of one restart
 ARNOLDI_BREAKDOWN = 1e-14  # residual norm below which the Krylov space is invariant
@@ -135,14 +135,12 @@ def _ritz_vector(transposed, start: np.ndarray) -> np.ndarray:
     return vectors[:, nearest].real @ basis[:dim]
 
 
-def stationary_density(
-    ulam: UlamMatrix, tol: float = 1e-12, max_iters: int = 1_000_000
-) -> PiecewiseConstantDensity:
+def stationary_density(ulam: UlamMatrix) -> PiecewiseConstantDensity:
     """Stationary density of an Ulam matrix by left power iteration with
     Ritz restarts.
 
     Starts from the uniform mass vector and stops once successive mass
-    vectors differ by less than tol in L1.  After every RITZ_EVERY steps
+    vectors differ by less than POWER_TOL in L1.  After every RITZ_EVERY steps
     that have not converged, a short Arnoldi run from the current iterate
     proposes the Ritz vector for the Ritz value nearest 1, clipped to
     non-negative mass and normalised; the iteration restarts from it only if
@@ -156,16 +154,12 @@ def stationary_density(
     grid covers only part of [0, 1], extended by zero so it always lives on
     the unit interval.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ParameterError(f"stationary_density requires a finite tol > 0 (got {tol})")
-    if not max_iters >= 1:
-        raise ParameterError(f"stationary_density requires max_iters >= 1 (got {max_iters})")
     transposed = ulam.matrix.T.tocsr()
     n = ulam.n_bins
     mass = np.full(n, 1.0 / n)
-    for iteration in range(1, max_iters + 1):
+    for iteration in range(1, MAX_POWER_STEPS + 1):
         new, residual = _power_step(transposed, mass)
-        if residual >= tol and iteration % RITZ_EVERY == 0:
+        if residual >= POWER_TOL and iteration % RITZ_EVERY == 0:
             proposal = _ritz_vector(transposed, new)
             proposal = np.clip(proposal * np.sign(proposal.sum()), 0.0, None)
             total = proposal.sum()
@@ -174,18 +168,14 @@ def stationary_density(
                 if stepped_residual < residual:
                     new, residual = stepped, stepped_residual
         mass = new
-        if residual < tol:
+        if residual < POWER_TOL:
             break
     else:
         raise ComputationError(
-            f"power iteration did not reach tol={tol} in {max_iters} iterations",
+            f"power iteration did not reach tol={POWER_TOL} in {MAX_POWER_STEPS} iterations",
             residual=residual,
         )
-    density = PiecewiseConstantDensity(ulam.edges.copy(), mass / np.diff(ulam.edges))
-    lo, hi = density.domain
-    if lo > 0.0 or hi < 1.0:
-        density = density.embedded(0.0, 1.0)
-    return density
+    return PiecewiseConstantDensity(ulam.edges.copy(), mass / np.diff(ulam.edges)).embedded()
 
 
 # ---------------------------------------------------------------------------

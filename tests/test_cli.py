@@ -233,6 +233,37 @@ def test_cancelled_closed_form_offset_exits_3(tmp_path, run_cli):
     assert "precision floor" in result.stderr
 
 
+def test_orbit_walk_below_precision_floor_exits_3(tmp_path, run_cli):
+    # the float64 orbit sticks to the rising branch's fixed point at a = 1e-8
+    result = run_cli(
+        ["density", "--s1", "2", "--s2", "2", "--p", "1", "--q", "1", "--r", "1",
+         "--a", "1e-8", "--output", "x.csv"],
+        tmp_path,
+    )
+    assert result.returncode == 3, result.stderr
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    assert "2 * closed_form_k = 106 steps" in result.stderr
+    assert "precision floor" in result.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_ulam_non_convergence_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(acimlab.ulam, "MAX_POWER_STEPS", 5)
+    code = cli.main(
+        ["density", "--s1", "1.5", "--s2", "3", "--p", "3", "--q", "2", "--r", "2",
+         "--a", "0.001", "--method", "ulam", "--bins", "1024",
+         "--output", str(tmp_path / "never.csv")]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "acimlab: computation error: power iteration did not reach tol=1e-12 in 5 iterations"
+    )
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "never.csv").exists()
+
+
 @pytest.mark.parametrize(
     "config, args",
     [

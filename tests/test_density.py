@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import acimlab.density as density
 from acimlab.density import (
     PiecewiseConstantDensity,
-    accumulate_indicators,
+    _accumulate,
     bounding_densities,
     density_series,
     h0,
@@ -51,8 +51,14 @@ def draw_case_iii_negative_lambda(rng, a_cap=0.1):
 # piecewise-constant container
 
 
+def accumulate(terms, base=0.0):
+    """base + sum of w * chi_[lo, hi] over (lo, hi, w) triples on [0, 1]."""
+    lo, hi, w = np.array(terms, dtype=float).T
+    return _accumulate(lo, hi, w, base, (0.0, 1.0))
+
+
 def test_accumulate_indicators_basic():
-    f = accumulate_indicators([(0.0, 0.5, 2.0), (0.25, 1.0, 1.0)], base=1.0)
+    f = accumulate([(0.0, 0.5, 2.0), (0.25, 1.0, 1.0)], base=1.0)
     assert f.value_at(0.1) == 3.0
     assert f.value_at(0.3) == 4.0
     assert f.value_at(0.7) == 2.0
@@ -61,7 +67,7 @@ def test_accumulate_indicators_basic():
 
 def test_accumulate_merges_close_points():
     eps = 1e-16
-    f = accumulate_indicators([(0.0, 0.5, 1.0), (0.0, 0.5 + eps, 1.0)])
+    f = accumulate([(0.0, 0.5, 1.0), (0.0, 0.5 + eps, 1.0)])
     assert np.all(np.diff(f.breakpoints) > 1e-14)
     assert f.value_at(0.25) == 2.0
 
@@ -167,9 +173,22 @@ def test_turning_orbit_rejects_case_i():
 
 
 def test_turning_orbit_truncation_error(monkeypatch):
-    monkeypatch.setattr(density, "MAX_ORBIT_STEPS", 5)
-    with pytest.raises(ComputationError, match="max_steps"):
-        turning_orbit(SMALL_LIFT)
+    # at a = 1e-8 the float64 orbit of (2, 2, 1, 1, 1) sticks to the rising
+    # branch's fixed point; the walk gives up after 2 * closed_form_k steps
+    params = WParams(2, 2, 1, 1, 1, 1e-8)
+    assert density._closed_form_k(params, build_w_map(params).breakpoints[1]) == 53
+    walk = density._orbit_steps
+    steps = []
+
+    def counted(pl_map):
+        for step in walk(pl_map):
+            steps.append(step)
+            yield step
+
+    monkeypatch.setattr(density, "_orbit_steps", counted)
+    with pytest.raises(ComputationError, match="precision floor"):
+        turning_orbit(params)
+    assert len(steps) == 2 * 53
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +284,7 @@ def test_transfer_operator_preserves_mass(rng):
     for _ in range(20):
         p = draw_case_iii(rng)
         w = build_w_map(p)
-        f = accumulate_indicators(
+        f = accumulate(
             [(float(rng.uniform(0, 0.5)), float(rng.uniform(0.5, 1)), float(rng.uniform(-1, 2)))
              for _ in range(5)],
             base=1.0,

@@ -143,10 +143,11 @@ def test_counterexample_sequence():
     assert essinf[0] > essinf[1] > essinf[2]
 
 
-def test_counterexample_search_exhaustion():
-    # every candidate violates r*a < 1/2, so the search has nothing to try
-    with pytest.raises(ComputationError, match="exhausted"):
-        counterexample_sequence(2, search_schedule=lambda n: [0.6 / n])
+def test_counterexample_search_exhaustion(monkeypatch):
+    # no candidate comes closer to the limit than 1/n, so the search runs dry
+    monkeypatch.setattr(experiments, "wasserstein1", lambda mu, nu: 1.0)
+    with pytest.raises(ComputationError, match="exhausted for n=1"):
+        counterexample_sequence(2)
 
 
 def test_counterexample_requires_positive_n():
