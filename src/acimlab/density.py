@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,13 +63,22 @@ class PiecewiseConstantDensity:
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
 
+    @classmethod
+    def _trusted(cls, breakpoints: np.ndarray, values: np.ndarray) -> "PiecewiseConstantDensity":
+        """An instance over float arrays its caller has built valid, unchecked."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "breakpoints", breakpoints)
+        object.__setattr__(f, "values", values)
+        return f
+
     @property
     def domain(self) -> tuple[float, float]:
         return float(self.breakpoints[0]), float(self.breakpoints[-1])
 
     @property
     def widths(self) -> np.ndarray:
-        return np.diff(self.breakpoints)
+        bp = self.breakpoints
+        return bp[1:] - bp[:-1]
 
     def integral(self) -> float:
         return float(self.values @ self.widths)
@@ -79,18 +89,20 @@ class PiecewiseConstantDensity:
             raise ParameterError("integral_over needs lo <= hi")
         left = np.maximum(self.breakpoints[:-1], lo)
         right = np.minimum(self.breakpoints[1:], hi)
-        overlap = np.clip(right - left, 0.0, None)
+        overlap = np.maximum(right - left, 0.0)
         return float(self.values @ overlap)
 
     def value_at(self, x) -> np.ndarray | float:
-        """Cell value at x; at a breakpoint, the cell on the right."""
-        idx = np.searchsorted(self.breakpoints, x, side="right") - 1
-        idx = np.clip(idx, 0, self.values.size - 1)
-        out = self.values[idx]
+        """Cell value at x; at a breakpoint, the cell on the right.
+
+        Points left (right) of the domain get the first (last) cell's value.
+        """
+        out = self.values[self.breakpoints[1:-1].searchsorted(x, side="right")]
         return float(out) if np.isscalar(x) else out
 
     def scale(self, c: float) -> "PiecewiseConstantDensity":
-        return PiecewiseConstantDensity(self.breakpoints.copy(), self.values * c)
+        values = np.asarray(self.values * c, dtype=float)
+        return PiecewiseConstantDensity._trusted(self.breakpoints.copy(), values)
 
     def sup(self) -> float:
         return float(self.values.max())
@@ -146,7 +158,8 @@ def _accumulate(
     jumps = np.outer(w[live], (1.0, -1.0)).ravel()
     delta = np.bincount(cells[live].ravel(), weights=jumps, minlength=n_cells + 1)
     values = base + np.cumsum(delta[:-1])
-    return PiecewiseConstantDensity(bp, values)
+    # merged, clipped and sorted, bp is strictly increasing by construction
+    return PiecewiseConstantDensity._trusted(bp, values)
 
 
 def refine_pair(f: PiecewiseConstantDensity, g: PiecewiseConstantDensity):
@@ -184,7 +197,8 @@ def normalize(f: PiecewiseConstantDensity) -> PiecewiseConstantDensity:
         warnings.warn(
             f"normalized density clipped at {worst:.3e} < -1e-9", RuntimeWarning
         )
-    return PiecewiseConstantDensity(f.breakpoints.copy(), np.maximum(values, 0.0))
+    np.maximum(values, 0.0, out=values)
+    return PiecewiseConstantDensity._trusted(f.breakpoints.copy(), values)
 
 
 def h0(s1: float, s2: float) -> PiecewiseConstantDensity:
@@ -194,7 +208,9 @@ def h0(s1: float, s2: float) -> PiecewiseConstantDensity:
     denom = 2 * s1 * s2 + s1 - s2
     left = 2 * s1 * (s2 + 1) / denom
     right = 2 * s2 * (s1 - 1) / denom
-    return PiecewiseConstantDensity(np.array([0.0, 0.5, 1.0]), np.array([left, right]))
+    return PiecewiseConstantDensity._trusted(
+        np.array([0.0, 0.5, 1.0]), np.array([left, right], dtype=float)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -226,25 +242,26 @@ class TurningOrbit:
 
 
 def _orbit_steps(pl_map: PiecewiseLinearMap):
-    """Yield (n, z_n, B_n) with z_n = W^n(1/2), B_n the cumulative slope.
+    """Yield (z_n, B_n) for n = 1, 2, ...: z_n = W^n(1/2), B_n the cumulative slope.
 
     The first slope factor is the rising-branch slope (two-sided convention
     at the turning point); afterwards the branch actually containing the
-    current point decides each factor.
+    current point decides each factor.  Every z_n lies in the map's domain,
+    so the branch lookup needs no domain check.
     """
-    beta2 = pl_map.slopes[1]
+    starts, slopes, intercepts = pl_map.breakpoints[:-1], pl_map.slopes, pl_map.intercepts
     lo, hi = pl_map.domain
     z = pl_map(0.5)
-    cum = beta2
-    n = 1
-    yield n, z, cum
+    cum = slopes[1]
+    yield z, cum
     while True:
-        branch = pl_map.branch_index(z)
-        cum *= pl_map.slopes[branch - 1]
+        i = bisect_right(starts, z) - 1  # the last branch also takes z = hi
+        slope = slopes[i]
+        cum *= slope
+        z = slope * z + intercepts[i]
         # images can leave the interval by an ulp; keep the walk well-defined
-        z = min(max(pl_map.branch_value(branch, z), lo), hi)
-        n += 1
-        yield n, z, cum
+        z = lo if z < lo else hi if z > hi else z
+        yield z, cum
 
 
 def _require_series_case(params: WParams) -> None:
@@ -268,12 +285,8 @@ def _require_series_case(params: WParams) -> None:
         )
 
 
-def closed_form_orbit_point(params: WParams, m: int) -> float:
-    """W^m(1/2) for 2 <= m <= k from the rising-branch closed form.
-
-    The orbit point sits at distance D * (s1+pa)^(m-2) below the rising
-    branch's fixed point, with D determined by the second orbit point.
-    """
+def _closed_form_offset(params: WParams) -> tuple[float, float, float]:
+    """(x_l, D, beta2) with W^m(1/2) = x_l - D * beta2^(m-2) for 2 <= m <= k."""
     s1, s2, p, q, r, a = params.s1, params.s2, params.p, params.q, params.r, params.a
     beta2 = s1 + p * a
     x_l = (s1 - 1 + p * a - 2 * r * a) / (2 * (beta2 - 1))
@@ -286,18 +299,29 @@ def closed_form_orbit_point(params: WParams, m: int) -> float:
             * (s1 * s2 - s1 - s2 + a * (q * s1 + p * s2 - p - q + p * q * a))
             / (beta2 - 1)
         )
+    return x_l, dist, beta2
+
+
+def closed_form_orbit_point(params: WParams, m: int) -> float:
+    """W^m(1/2) for 2 <= m <= k from the rising-branch closed form.
+
+    The orbit point sits at distance D * (s1+pa)^(m-2) below the rising
+    branch's fixed point, with D determined by the second orbit point.
+    """
+    x_l, dist, beta2 = _closed_form_offset(params)
     return x_l - dist * beta2 ** (m - 2)
 
 
 def _closed_form_k(params: WParams, threshold: float) -> int:
     """Smallest m with closed-form W^m(1/2) <= threshold."""
-    beta2 = params.s1 + params.p * params.a
-    z2 = closed_form_orbit_point(params, 2)
+    x_l, offset, beta2 = _closed_form_offset(params)
+
+    def point(m):
+        return x_l - offset * beta2 ** (m - 2)
+
+    z2 = point(2)
     if z2 <= threshold:
         return 2
-    x_l = (params.s1 - 1 + params.p * params.a - 2 * params.r * params.a) / (
-        2 * (beta2 - 1)
-    )
     dist = x_l - z2
     if not dist > 0:
         raise ComputationError(
@@ -310,9 +334,9 @@ def _closed_form_k(params: WParams, threshold: float) -> int:
     # z_m <= threshold  iff  dist * beta2^(m-2) >= x_l - threshold
     guess = 2 + math.ceil(math.log((x_l - threshold) / dist) / math.log(beta2))
     m = max(2, guess - 3)
-    while closed_form_orbit_point(params, m) > threshold:
+    while point(m) > threshold:
         m += 1
-    while m > 2 and closed_form_orbit_point(params, m - 1) <= threshold:
+    while m > 2 and point(m - 1) <= threshold:
         m -= 1
     return m
 
@@ -359,65 +383,60 @@ class SeriesSolution:
 def solve_series(params: WParams, tail_tol: float = DEFAULT_TAIL_TOL) -> SeriesSolution:
     """Walk the turning orbit once and derive k, Lambda and the series density.
 
-    The walk goes only as far as the longest of three stopping rules needs:
+    One walk serves three stopping rules, and goes only as far as the
+    longest of them needs:
 
     * S11 counts steps whose cumulative slope sign matches the side of 1/2
       the orbit point falls on; S22 uses the opposite pairing with the
-      cumulative slope started on the falling branch.  Both stop once their
-      geometric tail bound drops below SERIES_CUTOFF.  Lambda = 1/(1 - S11 -
-      S22) is cross-checked against the 2x2 system, and lam_low, lam_high
-      bound the series by geometric sums cut at k1.
+      cumulative slope started on the falling branch.  Both grow term by
+      term as the walk takes its steps, and stop once their geometric tail
+      bound drops below SERIES_CUTOFF.  Lambda = 1/(1 - S11 - S22) is
+      cross-checked against the 2x2 system, and lam_low, lam_high bound the
+      series by geometric sums cut at k1.
     * k is the first step at or below the left breakpoint of the rising
-      branch.  A walk that has not got there by twice the closed-form
-      index has lost the orbit to rounding (a below the precision floor)
-      and raises.
+      branch, noted as the walk passes it.  A walk that has not got there
+      by twice the closed-form index has lost the orbit to rounding (a
+      below the precision floor) and raises.
     * The density adds, per step, an indicator of [0, z_n] (positive
       cumulative slope) or [z_n, 1] (negative) weighted by the reciprocal
       cumulative slope, until the remaining mass, prefactor and Lambda
       included, is below tail_tol; the exact transfer operator then
-      reproduces it to within twice that truncation.
+      reproduces it to within twice that truncation.  This rule needs
+      Lambda, so it scans the steps already taken and walks on as needed.
 
-    Each rule first rescans the steps already taken, so every sum stops at
-    the index, and adds in the order, that a walk of its own would.
+    Each rule stops at the step, and each sum adds in the order, that a
+    walk of its own would.
     """
     _require_series_case(params)
     if not (math.isfinite(tail_tol) and tail_tol > 0):
         raise ParameterError(f"tail_tol must be finite and > 0 (got {tail_tol!r})")
     s1, s2, p, q, a = params.s1, params.s2, params.p, params.q, params.a
     pl_map = build_w_map(params)
-    lam_min = pl_map.min_abs_slope
+    gap = pl_map.min_abs_slope - 1.0  # the geometric tail of a term 1/|B_n| is 1/(|B_n| gap)
     threshold = pl_map.breakpoints[1]
+    ratio_12 = -(s2 + q * a) / (s1 + p * a)  # cum-slope ratio of the two sides
     steps = _orbit_steps(pl_map)
     zs, cums = [], []
-
-    def first(stop, limit, message):
-        """1-based index of the first step with stop(z, cum), walking on as needed."""
-        n = 0
-        while True:
-            if n == len(zs):
-                _, z, cum = next(steps)
-                zs.append(z)
-                cums.append(cum)
-            n += 1
-            if stop(zs[n - 1], cums[n - 1]):
-                return n
-            if n >= limit:
-                raise ComputationError(message, steps=n)
-
-    n_terms = first(
-        lambda z, cum: 1.0 / (abs(cum) * (lam_min - 1.0)) < SERIES_CUTOFF,
-        MAX_SERIES_TERMS,
-        "S-series did not meet the cutoff",
-    )
-    ratio_12 = -(s2 + q * a) / (s1 + p * a)  # cum-slope ratio of the two sides
+    n = 0  # steps taken
+    k = 0  # the first step at or below threshold, once the walk has passed it
     s11 = 0.0
     s22 = 0.0
-    for z, cum in zip(zs[:n_terms], cums[:n_terms]):
+    for z, cum in steps:
+        zs.append(z)
+        cums.append(cum)
+        n += 1
+        if not k and z <= threshold:
+            k = n
         if (cum > 0 and z > 0.5) or (cum < 0 and z < 0.5):
             s11 += 1.0 / abs(cum)
         cum2 = cum * ratio_12
         if (cum2 < 0 and z > 0.5) or (cum2 > 0 and z < 0.5):
             s22 += 1.0 / abs(cum2)
+        if 1.0 / (abs(cum) * gap) < SERIES_CUTOFF:
+            break
+        if n >= MAX_SERIES_TERMS:
+            raise ComputationError("S-series did not meet the cutoff", steps=n)
+    n_terms = n
     denominator = 1.0 - (s11 + s22)
     if abs(denominator) < 1e-14:
         raise ComputationError(
@@ -436,13 +455,21 @@ def solve_series(params: WParams, tail_tol: float = DEFAULT_TAIL_TOL) -> SeriesS
         )
 
     closed_form_k = _closed_form_k(params, threshold)
-    k = first(
-        lambda z, cum: z <= threshold,
-        2 * closed_form_k,
-        f"turning orbit did not exit the rising branch within 2 * closed_form_k "
-        f"= {2 * closed_form_k} steps: its offset from the fixed point is lost to "
-        f"float64 rounding, so a = {params.a!r} is below the precision floor",
-    )
+    limit = 2 * closed_form_k
+    while not k and n < limit:
+        z, cum = next(steps)
+        zs.append(z)
+        cums.append(cum)
+        n += 1
+        if z <= threshold:
+            k = n
+    if not 0 < k <= limit:
+        raise ComputationError(
+            f"turning orbit did not exit the rising branch within 2 * closed_form_k "
+            f"= {limit} steps: its offset from the fixed point is lost to "
+            f"float64 rounding, so a = {params.a!r} is below the precision floor",
+            steps=limit,
+        )
     orbit = TurningOrbit(
         orbit=np.array(zs[:k]),
         cum_slopes=np.array(cums[:k]),
@@ -467,11 +494,18 @@ def solve_series(params: WParams, tail_tol: float = DEFAULT_TAIL_TOL) -> SeriesS
     )
 
     coeff = _series_prefactor(params) * lam
-    n_density = first(
-        lambda z, cum: abs(coeff) / (abs(cum) * (lam_min - 1.0)) < tail_tol,
-        MAX_SERIES_TERMS,
-        "density series did not converge",
-    )
+    n_density = 0
+    while True:
+        if n_density == n:
+            z, cum = next(steps)
+            zs.append(z)
+            cums.append(cum)
+            n += 1
+        n_density += 1
+        if abs(coeff) / (abs(cums[n_density - 1]) * gap) < tail_tol:
+            break
+        if n_density >= MAX_SERIES_TERMS:
+            raise ComputationError("density series did not converge", steps=n_density)
     z = np.array(zs[:n_density])
     cum = np.array(cums[:n_density])
     rising = cum > 0

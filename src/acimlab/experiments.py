@@ -62,11 +62,9 @@ def restricted_turning_map(params: WParams) -> PiecewiseLinearMap:
     )
 
 
-def _sweep_point(family: Family, a: float, bins: int) -> SweepRecord:
-    case = family.case
+def _sweep_point(params: WParams, case: str, limit: MeasureRepr, bins: int) -> SweepRecord:
+    a = params.a
     record = SweepRecord(a=a, case=case)
-    params = family.at(a)
-    limit = limit_measure(family.s1, family.s2, family.p, family.q, family.r)
     if case == "I":
         ulam = build_ulam(restricted_turning_map(params), bins)
         h = stationary_density(ulam)
@@ -94,15 +92,16 @@ def sweep(family: Family, a_schedule, bins: int = 4096) -> list[SweepRecord]:
         raise ParameterError("a_schedule must not be empty")
     if any(b >= a for a, b in zip(a_schedule, a_schedule[1:])):
         raise ParameterError("a_schedule must be strictly decreasing")
-    for a in a_schedule:
-        family.at(a)  # validates every point up front
+    points = [family.at(a) for a in a_schedule]  # validates every point up front
+    case = family.case
+    limit = limit_measure(family.s1, family.s2, family.p, family.q, family.r)
 
     records = []
-    for a in a_schedule:
+    for a, params in zip(a_schedule, points):
         try:
-            records.append(_sweep_point(family, a, bins))
+            records.append(_sweep_point(params, case, limit, bins))
         except (ComputationError, ParameterError) as exc:
-            records.append(SweepRecord(a=a, case=family.case, error=str(exc)))
+            records.append(SweepRecord(a=a, case=case, error=str(exc)))
     return records
 
 

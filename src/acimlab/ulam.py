@@ -94,8 +94,8 @@ def build_ulam(
             worst_row_sum=float(row_sums[np.argmax(np.abs(row_sums - 1.0))]),
         )
     # the exact row sums are 1; rescaling removes the accumulated rounding
-    matrix = sp.diags(1.0 / row_sums) @ matrix
-    return UlamMatrix(edges=edges, matrix=matrix.tocsr())
+    matrix.data *= np.repeat(1.0 / row_sums, np.diff(matrix.indptr))
+    return UlamMatrix(edges=edges, matrix=matrix)
 
 
 def _power_step(transposed, mass: np.ndarray) -> tuple[np.ndarray, float]:
@@ -197,10 +197,11 @@ class MeasureRepr:
         """Right-continuous CDF values at the given sorted points."""
         out = np.zeros(points.size)
         if self.density is not None:
-            bp = self.density.breakpoints
-            prefix = np.concatenate(([0.0], np.cumsum(self.density.values * np.diff(bp))))
-            idx = np.clip(np.searchsorted(bp, points, side="right") - 1, 0, bp.size - 2)
-            out += prefix[idx] + self.density.values[idx] * (points - bp[idx])
+            bp, values = self.density.breakpoints, self.density.values
+            prefix = np.concatenate(([0.0], (values * self.density.widths).cumsum()))
+            # the cell of each point, the outer cells extended to +-infinity
+            idx = bp[1:-1].searchsorted(points, side="right")
+            out += prefix[idx] + values[idx] * (points - bp[idx])
             out[points < bp[0]] = 0.0
             out[points >= bp[-1]] = prefix[-1]
         for loc, weight in self.atoms:
@@ -216,29 +217,32 @@ def wasserstein1(mu: MeasureRepr, nu: MeasureRepr) -> float:
     integrates exactly (splitting at the root when the sign changes).
     """
     for name, m in (("mu", mu), ("nu", nu)):
-        if abs(m.total_mass() - 1.0) > MASS_TOL:
+        mass = m.total_mass()
+        if abs(mass - 1.0) > MASS_TOL:
             raise ParameterError(
-                f"wasserstein1 requires probability measures ({name} has mass "
-                f"{m.total_mass()})"
+                f"wasserstein1 requires probability measures ({name} has mass {mass})"
             )
-    points = {0.0, 1.0}
+    # the grid: 0, 1, every breakpoint and atom location in [0, 1], each once
+    parts = [(0.0, 1.0)]
     for m in (mu, nu):
         if m.density is not None:
-            points.update(m.density.breakpoints.tolist())
-        points.update(loc for loc, _ in m.atoms)
-    grid = np.array(sorted(points))
-    grid = grid[(grid >= 0.0) & (grid <= 1.0)]
-    diff = mu.cumulative(grid) - nu.cumulative(grid)
+            parts.append(m.density.breakpoints)
+        parts.append([loc for loc, _ in m.atoms])
+    points = np.concatenate(parts)
+    points.sort(kind="stable")
+    keep = (points >= 0.0) & (points <= 1.0)
+    keep[1:] &= points[1:] != points[:-1]
+    grid = points[keep]
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    seg_w = grid[1:] - grid[:-1]
 
-    dens_mu = mu.density.value_at(0.5 * (grid[:-1] + grid[1:])) if mu.density else 0.0
-    dens_nu = nu.density.value_at(0.5 * (grid[:-1] + grid[1:])) if nu.density else 0.0
-    seg_w = np.diff(grid)
-    left = diff[:-1]  # value just after the left endpoint (jumps included)
-    right = left + (np.asarray(dens_mu) - np.asarray(dens_nu)) * seg_w
+    left = (mu.cumulative(grid) - nu.cumulative(grid))[:-1]  # just after each left end
+    dens_mu = mu.density.value_at(mids) if mu.density else 0.0
+    dens_nu = nu.density.value_at(mids) if nu.density else 0.0
+    right = left + (dens_mu - dens_nu) * seg_w
 
-    same_sign = left * right >= 0
     total = np.where(
-        same_sign,
+        left * right >= 0,
         0.5 * (np.abs(left) + np.abs(right)) * seg_w,
         # linear crossing: two triangles on either side of the root
         0.5

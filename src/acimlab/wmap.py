@@ -153,9 +153,10 @@ def build_w_map(params: WParams) -> PiecewiseLinearMap:
         slopes=(b1, b2, b3, b4),
         intercepts=(1.0, lift - b2 * 0.5, lift - b3 * 0.5, 1.0 - b4),
     )
-    # Range validity at the five grid points (images are 1, 0, lift, 0, 1).
-    for x in pl_map.breakpoints:
-        y = pl_map(x)
+    # Range validity at the five grid points (images are 1, 0, lift, 0, 1);
+    # each belongs to the branch on its right, and 1 to the last branch.
+    for x, branch in zip(pl_map.breakpoints, (1, 2, 3, 4, 4)):
+        y = pl_map.branch_value(branch, x)
         if not -1e-12 <= y <= 1 + 1e-12:
             raise ParameterError(
                 f"invalid parameters: breakpoint image W({x}) = {y} leaves [0, 1]"
@@ -170,11 +171,12 @@ def classify_case(s1, s2) -> str:
     are compared with absolute tolerance 1e-12.  NaN and infinite slopes are
     rejected.
     """
-    if not all(isinstance(s, Rational) or math.isfinite(s) for s in (s1, s2)):
+    rational1, rational2 = isinstance(s1, Rational), isinstance(s2, Rational)
+    if not ((rational1 or math.isfinite(s1)) and (rational2 or math.isfinite(s2))):
         raise ParameterError("classification requires finite s1 and s2")
     if s1 <= 1 or s2 <= 1:
         raise ParameterError("classification requires s1 > 1 and s2 > 1")
-    if isinstance(s1, Rational) and isinstance(s2, Rational):
+    if rational1 and rational2:
         total = Fraction(s1) ** -1 + Fraction(s2) ** -1
         if total == 1:
             return "II"

@@ -65,6 +65,16 @@ def test_accumulate_indicators_basic():
     assert f.integral() == pytest.approx(0.25 * 3 + 0.25 * 4 + 0.5 * 2, abs=1e-15)
 
 
+def test_value_at_breakpoints_and_outside_the_domain():
+    f = PiecewiseConstantDensity(np.array([0.25, 0.5, 0.75]), np.array([3.0, 4.0]))
+    x = np.array([0.0, 0.25, 0.3, 0.5, 0.6, 0.75, 1.0])
+    # a breakpoint belongs to the cell on its right; outer cells extend outward
+    assert f.value_at(x).tolist() == [3.0, 3.0, 3.0, 4.0, 4.0, 4.0, 4.0]
+    assert f.value_at(0.5) == 4.0 and isinstance(f.value_at(0.5), float)
+    one_cell = PiecewiseConstantDensity(np.array([0.0, 1.0]), np.array([2.0]))
+    assert one_cell.value_at(np.array([-1.0, 0.5, 2.0])).tolist() == [2.0, 2.0, 2.0]
+
+
 def test_accumulate_merges_close_points():
     eps = 1e-16
     f = accumulate([(0.0, 0.5, 1.0), (0.0, 0.5 + eps, 1.0)])

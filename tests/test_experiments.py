@@ -143,6 +143,21 @@ def test_counterexample_sequence():
     assert essinf[0] > essinf[1] > essinf[2]
 
 
+def test_counterexample_sequence_searches_past_the_first_candidate():
+    # up to n = 19 the first candidate a = 0.1/n already lands within 1/n of
+    # the limit; from n = 20 on the search has to halve a once
+    rows = counterexample_sequence(24)
+    assert [row.n for row in rows] == list(range(1, 25))
+    for row in rows:
+        m = 0 if row.n <= 19 else 1
+        assert row.a_n == 0.1 / row.n * 2.0**-m
+        assert row.d_n < 1.0 / row.n
+    # the infima vanish like 1/n, though not monotonically (n = 17 -> 18 rises)
+    for row in rows[9:]:
+        assert 0.2 <= row.n * row.essinf_n <= 0.25
+    assert rows[-1].essinf_n == min(row.essinf_n for row in rows)
+
+
 def test_counterexample_search_exhaustion(monkeypatch):
     # no candidate comes closer to the limit than 1/n, so the search runs dry
     monkeypatch.setattr(experiments, "wasserstein1", lambda mu, nu: 1.0)
