@@ -163,19 +163,63 @@ def _accumulate(
 
 
 def refine_pair(f: PiecewiseConstantDensity, g: PiecewiseConstantDensity):
-    """(grid, f values, g values) on the common refinement of two functions."""
-    bp = np.union1d(f.breakpoints, g.breakpoints)
-    lo = max(f.breakpoints[0], g.breakpoints[0])
-    hi = min(f.breakpoints[-1], g.breakpoints[-1])
-    bp = bp[(bp >= lo) & (bp <= hi)]
+    """(grid, f values, g values) on the common refinement of two functions.
+
+    The grid holds every breakpoint of either function once, and each
+    function is 0 on the cells outside its own breakpoints.  A cell's value
+    is the function's value at the cell's midpoint.
+    """
+    fb, gb = f.breakpoints, g.breakpoints
+    both = np.concatenate((fb, gb))
+    order = both.argsort(kind="stable")  # merges the two sorted runs
+    pts = both[order]
+    last = np.empty(pts.size, dtype=bool)
+    np.not_equal(pts[1:], pts[:-1], out=last[:-1])
+    last[-1] = True
+    at = np.flatnonzero(last)
+    bp = pts[at]
+    # how many breakpoints of f, and of g, lie at or left of each grid point
+    f_count = np.cumsum(order < fb.size)[at]
+    g_count = at + 1 - f_count
     mids = 0.5 * (bp[:-1] + bp[1:])
-    return bp, f.value_at(mids), g.value_at(mids)
+    onto_right = np.flatnonzero(mids >= bp[1:])  # midpoints of adjacent doubles
+    return bp, _cell_values(f, f_count, onto_right), _cell_values(g, g_count, onto_right)
+
+
+def _cell_values(f: PiecewiseConstantDensity, count: np.ndarray, onto_right: np.ndarray) -> np.ndarray:
+    """f on the cells of a refined grid, from the count of f's breakpoints at
+    or left of each grid point; 0 outside f's breakpoints.
+
+    Cell j takes f's cell that holds its midpoint, which is the one right of
+    f's count[j]-th breakpoint; where the midpoint has rounded onto the
+    cell's right end and the cell lies in f's domain, the count there
+    decides, as a lookup at the midpoint would.
+    """
+    n = f.breakpoints.size
+    padded = np.concatenate(([0.0], f.values, [0.0]))
+    index = count[:-1]
+    if onto_right.size:
+        index = index.copy()
+        inside = onto_right[(index[onto_right] > 0) & (index[onto_right] < n)]
+        index[inside] = np.minimum(count[inside + 1], n - 1)
+    return padded[index]
 
 
 def l1_distance(f: PiecewiseConstantDensity, g: PiecewiseConstantDensity) -> float:
-    """Exact L1 distance on the common refinement grid."""
+    """Exact L1 distance on the common refinement grid; each function is 0
+    outside its own breakpoints.
+
+    The cells inside both domains are summed first and the rest added after,
+    so functions that vanish outside their common domain get the sum over
+    that domain alone, rounding included.
+    """
     bp, fv, gv = refine_pair(f, g)
-    return float(np.abs(fv - gv) @ np.diff(bp))
+    gap = np.abs(fv - gv)
+    widths = np.diff(bp)
+    i0 = bp.searchsorted(max(f.breakpoints[0], g.breakpoints[0]))
+    i1 = max(bp.searchsorted(min(f.breakpoints[-1], g.breakpoints[-1])), i0)  # i0 if disjoint
+    common = float(gap[i0:i1] @ widths[i0:i1])
+    return common + float(gap[:i0] @ widths[:i0]) + float(gap[i1:] @ widths[i1:])
 
 
 def normalize(f: PiecewiseConstantDensity) -> PiecewiseConstantDensity:
@@ -638,19 +682,22 @@ def transfer_operator_apply(
     contributing value/|slope| on the image interval; the results are summed
     on the merged grid.  Mass is preserved exactly up to rounding.
     """
+    bp = f.breakpoints
     lows, highs, weights = [], [], []
     for branch in range(1, pl_map.n_branches + 1):
         d0, d1 = pl_map.branch_domain(branch)
-        lefts = np.maximum(f.breakpoints[:-1], d0)
-        rights = np.minimum(f.breakpoints[1:], d1)
-        live = rights > lefts
+        # the cells that meet the branch domain: bp[i + 1] > d0 and bp[i] < d1
+        i0 = max(bp.searchsorted(d0, side="right") - 1, 0)
+        i1 = min(bp.searchsorted(d1), bp.size - 1)
+        lefts = np.maximum(bp[i0:i1], d0)
+        rights = np.minimum(bp[i0 + 1 : i1 + 1], d1)
         slope = pl_map.slopes[branch - 1]
         intercept = pl_map.intercepts[branch - 1]
-        y0 = slope * lefts[live] + intercept
-        y1 = slope * rights[live] + intercept
+        y0 = slope * lefts + intercept
+        y1 = slope * rights + intercept
         lows.append(np.minimum(y0, y1))
         highs.append(np.maximum(y0, y1))
-        weights.append(f.values[live] / abs(slope))
+        weights.append(f.values[i0:i1] / abs(slope))
     return _accumulate(
         np.concatenate(lows),
         np.concatenate(highs),

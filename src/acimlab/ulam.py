@@ -54,11 +54,7 @@ def build_ulam(
 
     if n_bins < 2:
         raise ParameterError("build_ulam requires n_bins >= 2")
-    lo, hi = pl_map.domain
-    edges = np.linspace(lo, hi, n_bins + 1)
-    if align_half and lo < 0.5 < hi:
-        nearest = int(np.argmin(np.abs(edges[1:-1] - 0.5))) + 1
-        edges[nearest] = 0.5
+    edges = _grid(*pl_map.domain, n_bins, align_half)
 
     rows, cols, vals = [], [], []
     widths = np.diff(edges)
@@ -66,23 +62,26 @@ def build_ulam(
         d0, d1 = pl_map.branch_domain(branch)
         slope = pl_map.slopes[branch - 1]
         m0, m1 = pl_map.branch_image(branch)
-        inner = edges[(edges > m0) & (edges < m1)]
+        # the edges strictly inside the branch's image and strictly inside its domain
+        inner = edges[edges.searchsorted(m0, side="right") : edges.searchsorted(m1)]
+        within = edges[edges.searchsorted(d0, side="right") : edges.searchsorted(d1)]
         preimages = (inner - pl_map.intercepts[branch - 1]) / slope
-        cuts = np.concatenate(
-            ([d0, d1], edges[(edges > d0) & (edges < d1)], preimages)
-        )
-        cuts = np.unique(np.clip(cuts, d0, d1))
+        cuts = np.concatenate(([d0, d1], within, preimages))
+        np.clip(cuts, d0, d1, out=cuts)
+        cuts.sort(kind="stable")  # finds the sorted runs the pieces arrive in
+        distinct = np.empty(cuts.size, dtype=bool)
+        distinct[0] = True
+        np.not_equal(cuts[1:], cuts[:-1], out=distinct[1:])
+        cuts = cuts[distinct]
         seg_w = np.diff(cuts)
         mids = 0.5 * (cuts[:-1] + cuts[1:])
-        keep = seg_w > 0
-        seg_w, mids = seg_w[keep], mids[keep]
-        src = np.clip(np.searchsorted(edges, mids, side="right") - 1, 0, n_bins - 1)
-        img = slope * mids + pl_map.intercepts[branch - 1]
-        tgt = np.clip(np.searchsorted(edges, img, side="right") - 1, 0, n_bins - 1)
+        src = _bin_of(edges, mids)
+        tgt = _bin_of(edges, slope * mids + pl_map.intercepts[branch - 1])
         rows.append(src)
         cols.append(tgt)
         vals.append(seg_w / widths[src])
 
+    # _bin_of's int32 indices: scipy's COO-to-CSR conversion is slower on intp ones
     matrix = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_bins, n_bins),
@@ -96,6 +95,33 @@ def build_ulam(
     # the exact row sums are 1; rescaling removes the accumulated rounding
     matrix.data *= np.repeat(1.0 / row_sums, np.diff(matrix.indptr))
     return UlamMatrix(edges=edges, matrix=matrix)
+
+
+def _grid(lo: float, hi: float, n_bins: int, align_half: bool) -> np.ndarray:
+    """The n_bins + 1 uniform edges over [lo, hi], the edge nearest 1/2 moved
+    onto it with align_half."""
+    edges = np.linspace(lo, hi, n_bins + 1)
+    if align_half and lo < 0.5 < hi:
+        nearest = int(np.argmin(np.abs(edges[1:-1] - 0.5))) + 1
+        edges[nearest] = 0.5
+    return edges
+
+
+def _bin_of(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Bin of each x, as int32: clip(searchsorted(edges, x, "right") - 1, 0, n - 1).
+
+    The grid is uniform but for at most one edge moved to 1/2, so the bin
+    read off the uniform spacing is at most one off; one step against the
+    edges either way corrects it.
+    """
+    n = edges.size - 1
+    lo = edges[0]
+    guess = (x - lo) * (n / (edges[-1] - lo))
+    np.clip(guess, 0, n - 1, out=guess)
+    idx = guess.astype(np.int32)
+    idx -= edges[idx] > x
+    idx += edges[idx + 1] <= x
+    return np.clip(idx, 0, n - 1, out=idx)
 
 
 def _power_step(transposed, mass: np.ndarray) -> tuple[np.ndarray, float]:
@@ -209,6 +235,18 @@ class MeasureRepr:
         return out
 
 
+def _density_on(m: MeasureRepr, grid: np.ndarray, mids: np.ndarray) -> np.ndarray | float:
+    """The density part of m on each cell of a grid over [0, 1], read at the
+    cells' midpoints; 0 on the cells outside the density's breakpoints."""
+    if m.density is None:
+        return 0.0
+    values = m.density.value_at(mids)
+    lo, hi = m.density.domain
+    if lo > 0.0 or hi < 1.0:
+        values[(grid[:-1] < lo) | (grid[1:] > hi)] = 0.0
+    return values
+
+
 def wasserstein1(mu: MeasureRepr, nu: MeasureRepr) -> float:
     """Exact Wasserstein-1 distance between two probability measures on [0, 1].
 
@@ -237,9 +275,7 @@ def wasserstein1(mu: MeasureRepr, nu: MeasureRepr) -> float:
     seg_w = grid[1:] - grid[:-1]
 
     left = (mu.cumulative(grid) - nu.cumulative(grid))[:-1]  # just after each left end
-    dens_mu = mu.density.value_at(mids) if mu.density else 0.0
-    dens_nu = nu.density.value_at(mids) if nu.density else 0.0
-    right = left + (dens_mu - dens_nu) * seg_w
+    right = left + (_density_on(mu, grid, mids) - _density_on(nu, grid, mids)) * seg_w
 
     total = np.where(
         left * right >= 0,

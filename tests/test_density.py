@@ -332,6 +332,62 @@ def test_transfer_operator_matches_ulam_on_its_grid(params, log_bins, seed):
     assert abs(pf.integral() - f.integral()) <= 1e-12
 
 
+def reference_refine_pair(f, g):
+    """np.union1d of the breakpoints, value_at the midpoints, 0 outside each domain."""
+    bp = np.union1d(f.breakpoints, g.breakpoints)
+    mids = 0.5 * (bp[:-1] + bp[1:])
+
+    def on_grid(h):
+        outside = (bp[:-1] < h.breakpoints[0]) | (bp[1:] > h.breakpoints[-1])
+        return np.where(outside, 0.0, h.value_at(mids))
+
+    return bp, on_grid(f), on_grid(g)
+
+
+@st.composite
+def breakpoint_sets(draw, anchors):
+    """Sorted distinct breakpoints: picks from anchors, random points between
+    them, and the doubles adjacent to either."""
+    points = set()
+    for _ in range(draw(st.integers(2, 12))):
+        x = float(draw(st.sampled_from(anchors)))
+        if draw(st.booleans()):
+            x += (draw(st.sampled_from(anchors)) - x) * draw(st.floats(0.0, 1.0))
+        points.add(float(np.nextafter(x, draw(st.sampled_from([-np.inf, x, np.inf])))))
+    if len(points) < 2:
+        points.add(float(np.nextafter(max(points), np.inf)))
+    return np.array(sorted(points))
+
+
+@st.composite
+def density_pairs(draw):
+    """Two functions on the same or on different domains, sharing breakpoints or not."""
+    anchors = draw(
+        st.sampled_from(
+            [(0.0, 0.5, 1.0), (0.2, 0.9), (-0.5, 0.25, 1.5), (0.3, float(np.nextafter(0.3, 1.0)))]
+        )
+    )
+    f_bp = draw(breakpoint_sets(anchors))
+    g_bp = f_bp if draw(st.booleans()) else draw(breakpoint_sets(anchors + tuple(f_bp[:3])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return tuple(PiecewiseConstantDensity(bp, rng.uniform(-2.0, 2.0, bp.size - 1)) for bp in (f_bp, g_bp))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=density_pairs())
+def test_refine_pair_matches_a_union_grid_and_lookups(pair):
+    f, g = pair
+    got, want = refine_pair(f, g), reference_refine_pair(f, g)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    bp, fv, gv = want
+    exact = float(np.abs(fv - gv) @ np.diff(bp))
+    if f.domain == g.domain:  # one domain: the same sum, bit for bit
+        assert l1_distance(f, g) == exact
+    else:
+        assert l1_distance(f, g) == pytest.approx(exact, rel=1e-12, abs=1e-300)
+
+
 def test_transfer_operator_constant_mass():
     one = PiecewiseConstantDensity(np.array([0.0, 1.0]), np.array([1.0]))
     pf = transfer_operator_apply(build_w_map(FIG_PARAMS), one)

@@ -90,6 +90,47 @@ def test_build_ulam_requires_bins():
         build_ulam(w0_map(2.0, 2.0), 1)
 
 
+@st.composite
+def ulam_grids(draw):
+    """Edges of build_ulam's grids: uniform or odd half-aligned, on [0, 1],
+    off it, and on the case-I restricted domain."""
+    n_bins = draw(st.integers(2, 5000))
+    domain = draw(st.sampled_from([(0.0, 1.0), (-0.3, 1.7), restricted_turning_map(PERIODIC_CASE_I).domain]))
+    if draw(st.booleans()):
+        return ulam_module._grid(*domain, 2 * (n_bins // 2) + 1, align_half=True)
+    return ulam_module._grid(*domain, n_bins, align_half=False)
+
+
+@st.composite
+def grid_points(draw, edges):
+    """Points on edges, one ulp either side of an edge, inside and outside the grid."""
+    lo, hi = edges[0], edges[-1]
+    span = hi - lo
+    points = []
+    for _ in range(draw(st.integers(1, 20))):
+        kind = draw(st.sampled_from(["edge", "below edge", "above edge", "inside", "outside"]))
+        if kind == "inside":
+            points.append(lo + span * draw(st.floats(0.0, 1.0)))
+        elif kind == "outside":
+            far = draw(st.sampled_from([lo - span, hi + span, -np.inf, np.inf]))
+            points.append(far + draw(st.sampled_from([0.0, 1e-300, -1e-300])))
+        else:
+            edge = edges[draw(st.integers(0, edges.size - 1))]
+            step = {"edge": None, "below edge": -np.inf, "above edge": np.inf}[kind]
+            points.append(edge if step is None else np.nextafter(edge, step))
+    return np.array(points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_bin_lookup_matches_a_binary_search(data):
+    edges = data.draw(ulam_grids())
+    x = data.draw(grid_points(edges))
+    n_bins = edges.size - 1
+    expected = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, n_bins - 1)
+    assert np.array_equal(ulam_module._bin_of(edges, x), expected)
+
+
 @pytest.mark.parametrize(
     "family, a, bound",
     [
@@ -271,6 +312,15 @@ def test_wasserstein_rejects_unnormalized():
     )
     with pytest.raises(ParameterError, match="mass"):
         wasserstein1(bad, point_mass(0.5))
+
+
+def test_distances_treat_a_density_as_zero_outside_its_breakpoints():
+    # the uniform density against 2 on [1/4, 3/4]: exact L1 1, exact W1 1/8
+    uniform = PiecewiseConstantDensity(np.array([0.0, 1.0]), np.array([1.0]))
+    bump = PiecewiseConstantDensity(np.array([0.25, 0.75]), np.array([2.0]))
+    assert l1_distance(uniform, bump) == l1_distance(bump, uniform) == 1.0
+    mu, nu = MeasureRepr(density=uniform), MeasureRepr(density=bump)
+    assert wasserstein1(mu, nu) == wasserstein1(nu, mu) == 0.125
 
 
 def random_measure(rng):
