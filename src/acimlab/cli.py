@@ -366,9 +366,13 @@ def _cmd_sweep(args, config):
 
     _require(config, "s1", "s2", "p", "q", "r", "output")
     family, schedule = _family_schedule(args)
+    if family.case == "I" and args.bins < 2:
+        raise ParameterError(f"a case-I sweep needs bins >= 2 (got {args.bins})")
     records = sweep(family, schedule, bins=args.bins)
     rows = []
     for rec in records:
+        if rec.error is not None:
+            raise ComputationError(f"sweep point a={rec.a} failed: {rec.error}")
         c = rec.c_over_a or (None, None, None, None)
         rows.append(
             [rec.a, rec.case, rec.d_to_limit, c[0], c[1], c[2], c[3],

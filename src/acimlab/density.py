@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -81,7 +82,7 @@ class PiecewiseConstantDensity:
         return bp[1:] - bp[:-1]
 
     def integral(self) -> float:
-        return float(self.values @ self.widths)
+        return float(self.values.dot(self.widths))
 
     def integral_over(self, lo: float, hi: float) -> float:
         """Exact integral over [lo, hi] (clipped to the domain)."""
@@ -90,7 +91,7 @@ class PiecewiseConstantDensity:
         left = np.maximum(self.breakpoints[:-1], lo)
         right = np.minimum(self.breakpoints[1:], hi)
         overlap = np.maximum(right - left, 0.0)
-        return float(self.values @ overlap)
+        return float(self.values.dot(overlap))
 
     def value_at(self, x) -> np.ndarray | float:
         """Cell value at x; at a breakpoint, the cell on the right.
@@ -134,30 +135,52 @@ def _accumulate(
     Endpoints are clipped to the domain and endpoints closer than MERGE_TOL
     are merged before cells are formed, so near-coincident orbit points
     cannot create zero-width cells.  Each endpoint snaps to the first
-    (smallest) point of its merge cluster.  The +w/-w jumps are added in
-    term order, so every cell value is rounded exactly as a term-by-term
-    sum would round it.
+    (smallest) point of its merge cluster.  A term whose ends share a cell
+    is dropped.
+
+    The cell values are a running sum, not a term-by-term sum per cell.
+    Each breakpoint gets a jump: the +w of the terms that start there and
+    the -w of the terms that end there, added in term order.  Cell i is
+    base plus the running sum (cumsum) of the jumps at breakpoints 0..i,
+    so its rounding depends on every jump to its left.  In case II the
+    smallest cells are 1 minus jumps that nearly cancel it, of order a, so
+    that rounding grows like eps/a relative to the cell: against a
+    term-by-term sum it reaches 6.7e-10 at a = 1e-6 for
+    (s1, s2, p, q, r) = (1.5, 3, 3, 2, 2).
     """
     d0, d1 = domain
-    ends = np.minimum(np.maximum(np.column_stack((lo, hi)).ravel(), d0), d1)
-    pts = np.sort(np.concatenate(([d0, d1], ends)))
+    ends = np.empty(2 * lo.size)
+    ends[0::2] = lo  # (lo, hi) pairs interleaved in term order
+    ends[1::2] = hi
+    np.maximum(ends, d0, out=ends)
+    np.minimum(ends, d1, out=ends)
+    pts = np.empty(ends.size + 2)
+    pts[0], pts[1] = d0, d1
+    pts[2:] = ends
+    pts.sort()
     # merge clusters of nearly identical points, keeping the first of each
     keep = np.empty(pts.size, dtype=bool)
     keep[0] = True
-    np.greater(np.diff(pts), MERGE_TOL, out=keep[1:])
+    np.greater(pts[1:] - pts[:-1], MERGE_TOL, out=keep[1:])
     bp = pts[keep]
     if bp[-1] < d1:
         bp[-1] = d1
     n_cells = bp.size - 1
     if n_cells < 1:
         raise ParameterError("degenerate domain")
-    cells = (np.searchsorted(bp, ends, side="right") - 1).reshape(-1, 2)
-    live = cells[:, 1] > cells[:, 0]
-    # the raveled rows interleave (i, j) in term order, and bincount adds in
-    # input order, so each slot sums its jumps in the order of the terms
-    jumps = np.outer(w[live], (1.0, -1.0)).ravel()
-    delta = np.bincount(cells[live].ravel(), weights=jumps, minlength=n_cells + 1)
-    values = base + np.cumsum(delta[:-1])
+    # slot s holds the jumps at bp[s - 1], where cell s - 1 starts; slot 0
+    # stays empty, and slot n_cells + 1, at d1, starts no cell
+    slots = bp.searchsorted(ends, side="right").reshape(-1, 2)
+    live = (slots[:, 1] > slots[:, 0]).nonzero()[0]
+    # each live term's (i, j) and (+w, -w) stay interleaved in term order, and
+    # bincount adds in input order, so each slot sums its jumps in term order
+    w_live = w.take(live)
+    jumps = np.empty(2 * live.size)
+    jumps[0::2] = w_live
+    np.negative(w_live, out=jumps[1::2])
+    delta = np.bincount(slots.take(live, axis=0).ravel(), weights=jumps, minlength=n_cells + 2)
+    # with no live term bincount returns int64, so add base out of place
+    values = base + delta[1:-1].cumsum()
     # merged, clipped and sorted, bp is strictly increasing by construction
     return PiecewiseConstantDensity._trusted(bp, values)
 
@@ -424,6 +447,16 @@ class SeriesSolution:
     density: PiecewiseConstantDensity
 
 
+def _lambda_system(s11: float, s22: float) -> tuple[float, float]:
+    """(d1, d2) solving the 2x2 system (-S^T + Id) D^T = [1, 1]^T by Cramer's
+    rule; both are 1/(1 - S11 - S22) in exact arithmetic.  A system whose
+    determinant rounds to 0 gives infinities, which no Lambda matches."""
+    det = (1.0 - s11) * (1.0 - s22) - s11 * s22
+    if det == 0.0:
+        return math.inf, math.inf
+    return ((1.0 - s22) + s22) / det, ((1.0 - s11) + s11) / det
+
+
 def solve_series(params: WParams, tail_tol: float = DEFAULT_TAIL_TOL) -> SeriesSolution:
     """Walk the turning orbit once and derive k, Lambda and the series density.
 
@@ -438,9 +471,9 @@ def solve_series(params: WParams, tail_tol: float = DEFAULT_TAIL_TOL) -> SeriesS
       cross-checked against the 2x2 system, and lam_low, lam_high bound the
       series by geometric sums cut at k1.
     * k is the first step at or below the left breakpoint of the rising
-      branch, noted as the walk passes it.  A walk that has not got there
-      by twice the closed-form index has lost the orbit to rounding (a
-      below the precision floor) and raises.
+      branch.  A walk that has not got there by twice the closed-form
+      index has lost the orbit to rounding (a below the precision floor)
+      and raises.
     * The density adds, per step, an indicator of [0, z_n] (positive
       cumulative slope) or [z_n, 1] (negative) weighted by the reciprocal
       cumulative slope, until the remaining mass, prefactor and Lambda
@@ -461,26 +494,23 @@ def solve_series(params: WParams, tail_tol: float = DEFAULT_TAIL_TOL) -> SeriesS
     ratio_12 = -(s2 + q * a) / (s1 + p * a)  # cum-slope ratio of the two sides
     steps = _orbit_steps(pl_map)
     zs, cums = [], []
-    n = 0  # steps taken
-    k = 0  # the first step at or below threshold, once the walk has passed it
     s11 = 0.0
     s22 = 0.0
-    for z, cum in steps:
+    for z, cum in islice(steps, MAX_SERIES_TERMS):
         zs.append(z)
         cums.append(cum)
-        n += 1
-        if not k and z <= threshold:
-            k = n
-        if (cum > 0 and z > 0.5) or (cum < 0 and z < 0.5):
-            s11 += 1.0 / abs(cum)
-        cum2 = cum * ratio_12
-        if (cum2 < 0 and z > 0.5) or (cum2 > 0 and z < 0.5):
-            s22 += 1.0 / abs(cum2)
-        if 1.0 / (abs(cum) * gap) < SERIES_CUTOFF:
+        # S11 takes the steps whose cumulative slope (never 0) has the sign
+        # of the point's side of 1/2; ratio_12 < 0 flips that sign, so S22's
+        # opposite pairing takes the same steps
+        abs_cum = abs(cum)
+        if z > 0.5 if cum > 0 else z < 0.5:
+            s11 += 1.0 / abs_cum
+            s22 += 1.0 / abs(cum * ratio_12)
+        if 1.0 / (abs_cum * gap) < SERIES_CUTOFF:
             break
-        if n >= MAX_SERIES_TERMS:
-            raise ComputationError("S-series did not meet the cutoff", steps=n)
-    n_terms = n
+    else:
+        raise ComputationError("S-series did not meet the cutoff", steps=MAX_SERIES_TERMS)
+    n_terms = len(zs)
     denominator = 1.0 - (s11 + s22)
     if abs(denominator) < 1e-14:
         raise ComputationError(
@@ -488,9 +518,7 @@ def solve_series(params: WParams, tail_tol: float = DEFAULT_TAIL_TOL) -> SeriesS
             denominator=denominator,
         )
     lam = 1.0 / denominator
-    # cross-check through the 2x2 system (-S^T + Id) D^T = [1, 1]^T
-    system = np.array([[1.0 - s11, -s22], [-s11, 1.0 - s22]])
-    d1, d2 = np.linalg.solve(system, np.ones(2))
+    d1, d2 = _lambda_system(s11, s22)
     if not (abs(d1 - lam) <= 1e-6 * abs(lam) and abs(d2 - lam) <= 1e-6 * abs(lam)):
         raise ComputationError(  # pragma: no cover - consistency guard
             "series and linear-system values of Lambda disagree",
@@ -500,13 +528,13 @@ def solve_series(params: WParams, tail_tol: float = DEFAULT_TAIL_TOL) -> SeriesS
 
     closed_form_k = _closed_form_k(params, threshold)
     limit = 2 * closed_form_k
-    while not k and n < limit:
+    k = next((n for n, z in enumerate(zs, 1) if z <= threshold), 0)
+    while not k and len(zs) < limit:
         z, cum = next(steps)
         zs.append(z)
         cums.append(cum)
-        n += 1
         if z <= threshold:
-            k = n
+            k = len(zs)
     if not 0 < k <= limit:
         raise ComputationError(
             f"turning orbit did not exit the rising branch within 2 * closed_form_k "
@@ -514,44 +542,55 @@ def solve_series(params: WParams, tail_tol: float = DEFAULT_TAIL_TOL) -> SeriesS
             f"float64 rounding, so a = {params.a!r} is below the precision floor",
             steps=limit,
         )
+
+    k1 = (2 * k) // 3
+    kappa = (s1 + s2 + p * a + q * a) / ((s1 + p * a) * (s2 + q * a))
+    eta = (s1 + s2 + p * a + q * a) / ((s2 + q * a) ** 2 * (s1 + p * a - 1))
+    lam_low = 1.0 / (1.0 - (kappa + eta * (1.0 - (s1 + p * a) ** -(k1 - 1))))
+    lam_high = 1.0 / (1.0 - (kappa + eta))
+
+    coeff = _series_prefactor(params) * lam
+    bound = abs(coeff)
+
+    def below_tol(cum):
+        return bound / (abs(cum) * gap) < tail_tol
+
+    # |B_n| grows at every step, so the tail bound only falls along the walk,
+    # and a binary search counts the steps taken whose bound is not yet below
+    # tail_tol; while that is all of them, the walk goes on
+    n_density = bisect_left(cums, True, key=below_tol)
+    while n_density == len(cums):
+        if n_density >= MAX_SERIES_TERMS:
+            raise ComputationError("density series did not converge", steps=n_density)
+        z, cum = next(steps)
+        zs.append(z)
+        cums.append(cum)
+        if not below_tol(cum):
+            n_density += 1
+    n_density += 1
+
+    z = np.array(zs)
+    cum = np.array(cums)
     orbit = TurningOrbit(
-        orbit=np.array(zs[:k]),
-        cum_slopes=np.array(cums[:k]),
+        orbit=z[:k].copy(),
+        cum_slopes=cum[:k].copy(),
         k=k,
-        k1=(2 * k) // 3,
+        k1=k1,
         closed_form_k=closed_form_k,
         threshold=threshold,
     )
-
-    kappa = (s1 + s2 + p * a + q * a) / ((s1 + p * a) * (s2 + q * a))
-    eta = (s1 + s2 + p * a + q * a) / ((s2 + q * a) ** 2 * (s1 + p * a - 1))
     lam_data = LambdaData(
         s11=s11,
         s22=s22,
         lam=lam,
-        lam_low=1.0 / (1.0 - (kappa + eta * (1.0 - (s1 + p * a) ** -(orbit.k1 - 1)))),
-        lam_high=1.0 / (1.0 - (kappa + eta)),
+        lam_low=lam_low,
+        lam_high=lam_high,
         kappa=kappa,
         eta=eta,
         vartheta=vartheta(s1, s2),
         n_terms=n_terms,
     )
-
-    coeff = _series_prefactor(params) * lam
-    n_density = 0
-    while True:
-        if n_density == n:
-            z, cum = next(steps)
-            zs.append(z)
-            cums.append(cum)
-            n += 1
-        n_density += 1
-        if abs(coeff) / (abs(cums[n_density - 1]) * gap) < tail_tol:
-            break
-        if n_density >= MAX_SERIES_TERMS:
-            raise ComputationError("density series did not converge", steps=n_density)
-    z = np.array(zs[:n_density])
-    cum = np.array(cums[:n_density])
+    z, cum = z[:n_density], cum[:n_density]
     rising = cum > 0
     density = _accumulate(
         np.where(rising, 0.0, z), np.where(rising, z, 1.0), coeff / np.abs(cum), 1.0, (0.0, 1.0)

@@ -224,14 +224,17 @@ class MeasureRepr:
         out = np.zeros(points.size)
         if self.density is not None:
             bp, values = self.density.breakpoints, self.density.values
-            prefix = np.concatenate(([0.0], (values * self.density.widths).cumsum()))
+            prefix = np.zeros(bp.size)
+            np.add.accumulate(values * (bp[1:] - bp[:-1]), out=prefix[1:])
             # the cell of each point, the outer cells extended to +-infinity
             idx = bp[1:-1].searchsorted(points, side="right")
             out += prefix[idx] + values[idx] * (points - bp[idx])
-            out[points < bp[0]] = 0.0
-            out[points >= bp[-1]] = prefix[-1]
+            # the points left of the density, and those at or right of its
+            # last breakpoint, are runs at the two ends of the sorted points
+            out[: points.searchsorted(bp[0])] = 0.0
+            out[points.searchsorted(bp[-1]) :] = prefix[-1]
         for loc, weight in self.atoms:
-            out[points >= loc] += weight
+            out[points.searchsorted(loc) :] += weight
         return out
 
 
@@ -268,8 +271,10 @@ def wasserstein1(mu: MeasureRepr, nu: MeasureRepr) -> float:
         parts.append([loc for loc, _ in m.atoms])
     points = np.concatenate(parts)
     points.sort(kind="stable")
-    keep = (points >= 0.0) & (points <= 1.0)
-    keep[1:] &= points[1:] != points[:-1]
+    points = points[points.searchsorted(0.0) : points.searchsorted(1.0, side="right")]
+    keep = np.empty(points.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(points[1:], points[:-1], out=keep[1:])
     grid = points[keep]
     mids = 0.5 * (grid[:-1] + grid[1:])
     seg_w = grid[1:] - grid[:-1]

@@ -102,7 +102,7 @@ class PiecewiseLinearMap:
 
     @property
     def min_abs_slope(self) -> float:
-        return min(abs(s) for s in self.slopes)
+        return min(map(abs, self.slopes))
 
     def branch_index(self, x: float) -> int:
         """1-based index of the branch whose half-open interval contains x."""

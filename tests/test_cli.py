@@ -248,6 +248,35 @@ def test_orbit_walk_below_precision_floor_exits_3(tmp_path, run_cli):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command, label", [("sweep", "sweep point"), ("ratios", "ratio point")])
+def test_failed_schedule_point_exits_3(tmp_path, capsys, command, label):
+    # a = 1e-8 lies below the orbit walk's precision floor; a = 0.01 does not
+    out = tmp_path / "x.csv"
+    code = cli.main(
+        [command, "--s1", "2", "--s2", "2", "--a-schedule", "0.01,1e-8", "--output", str(out)]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"acimlab: computation error: {label} a=1e-08 failed: turning orbit")
+    assert "precision floor" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_case_i_sweep_needs_two_bins(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    case_i = ["sweep", "--s1", "1.5", "--s2", "2", "--a-schedule", "0.01", "--output", str(out)]
+    assert cli.main([*case_i, "--bins", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "acimlab: config error: a case-I sweep needs bins >= 2 (got 1)\n"
+    )
+    assert not out.exists()
+    # the series route of a case-III sweep uses no bins
+    case_iii = ["sweep", "--s1", "3", "--s2", "3", "--a-schedule", "0.01", "--bins", "1"]
+    assert cli.main([*case_iii, "--output", str(out)]) == 0
+    assert out.exists()
+
+
 def test_ulam_non_convergence_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(acimlab.ulam, "MAX_POWER_STEPS", 5)
     code = cli.main(
