@@ -382,12 +382,11 @@ def _cmd_sweep(args, config):
 
 
 def _cmd_ratios(args, config):
-    from .experiments import asymptotic_ratio_report, ratio_targets
+    from .experiments import asymptotic_ratio_report
 
     _require(config, "s1", "s2", "p", "q", "r", "output")
     family, schedule = _family_schedule(args)
     report = asymptotic_ratio_report(family, schedule)
-    t1, t2, t3, tb = ratio_targets(family)
     header = [
         "a",
         "C1_over_a", "C2_over_a", "C3_over_a", "B_over_a",
@@ -395,7 +394,7 @@ def _cmd_ratios(args, config):
     ]
     rows = [
         [rec.a, rec.c_over_a[0], rec.c_over_a[1], rec.c_over_a[2], rec.c_over_a[3],
-         t1, t2, t3, tb]
+         *report.targets]
         for rec in report.rows
     ]
     _emit(args.output, args.format, config, header, rows, monotone=report.monotone)

@@ -29,7 +29,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import ComputationError, ParameterError
-from .wmap import PiecewiseLinearMap, WParams, build_w_map, classify_case
+from .wmap import PiecewiseLinearMap, WParams, _rising_fixed_point, build_w_map, classify_case
 
 MERGE_TOL = 1e-14  # breakpoints closer than this are treated as one point
 SERIES_CUTOFF = 1e-12  # truncation of the S-series behind Lambda
@@ -280,6 +280,21 @@ def h0(s1: float, s2: float) -> PiecewiseConstantDensity:
     )
 
 
+def _case_ii_sums(s1, s2, p, q, r) -> tuple[float, float, float, float]:
+    """(theta, num, atom, den) behind the case-II limit as a -> 0.
+
+    theta = q*s1 + p*s2 - p - q; the limit measure puts num/den on h0 and
+    atom/den on the atom at 1/2, with num = theta*(s2 + 2),
+    atom = 2*r*s1*s2^2 and den = num + atom, and the raw series density's
+    mass B tends to -a * den / (2*s1*s2).  theta also sets the offset of the
+    turning orbit from the rising branch's fixed point in every case.
+    """
+    theta = q * s1 + p * s2 - p - q
+    num = theta * (s2 + 2)
+    atom = 2 * r * s1 * s2 * s2
+    return theta, num, atom, num + atom
+
+
 # ---------------------------------------------------------------------------
 # turning-point orbit
 
@@ -356,16 +371,12 @@ def _closed_form_offset(params: WParams) -> tuple[float, float, float]:
     """(x_l, D, beta2) with W^m(1/2) = x_l - D * beta2^(m-2) for 2 <= m <= k."""
     s1, s2, p, q, r, a = params.s1, params.s2, params.p, params.q, params.r, params.a
     beta2 = s1 + p * a
-    x_l = (s1 - 1 + p * a - 2 * r * a) / (2 * (beta2 - 1))
+    x_l = _rising_fixed_point(params)
+    theta = _case_ii_sums(s1, s2, p, q, r)[0]
     if classify_case(s1, s2) == "II":
-        dist = a * a * (r * (q * s1 + p * s2 - p - q) + r * p * q * a) / (beta2 - 1)
+        dist = a * a * (r * theta + r * p * q * a) / (beta2 - 1)
     else:
-        dist = (
-            a
-            * r
-            * (s1 * s2 - s1 - s2 + a * (q * s1 + p * s2 - p - q + p * q * a))
-            / (beta2 - 1)
-        )
+        dist = a * r * (s1 * s2 - s1 - s2 + a * (theta + p * q * a)) / (beta2 - 1)
     return x_l, dist, beta2
 
 
@@ -481,6 +492,10 @@ def solve_series(params: WParams, tail_tol: float = DEFAULT_TAIL_TOL) -> SeriesS
       reproduces it to within twice that truncation.  This rule needs
       Lambda, so it scans the steps already taken and walks on as needed.
 
+    In case II ||f||_1 shrinks like a, so there both SERIES_CUTOFF and
+    tail_tol are relative to ||f||_1, taken as its a -> 0 limit |B/a| * a;
+    in case III, where ||f||_1 stays of order one, they are absolute.
+
     Each rule stops at the step, and each sum adds in the order, that a
     walk of its own would.
     """
@@ -488,9 +503,16 @@ def solve_series(params: WParams, tail_tol: float = DEFAULT_TAIL_TOL) -> SeriesS
     if not (math.isfinite(tail_tol) and tail_tol > 0):
         raise ParameterError(f"tail_tol must be finite and > 0 (got {tail_tol!r})")
     s1, s2, p, q, a = params.s1, params.s2, params.p, params.q, params.a
+    mass = 1.0  # ||f||_1 in case II, where the stopping rules are relative to it
+    if classify_case(s1, s2) == "II":
+        mass = a * _case_ii_sums(s1, s2, p, q, params.r)[3] / (2 * s1 * s2)
+    cutoff, tol = SERIES_CUTOFF * mass, tail_tol * mass
     pl_map = build_w_map(params)
     gap = pl_map.min_abs_slope - 1.0  # the geometric tail of a term 1/|B_n| is 1/(|B_n| gap)
     threshold = pl_map.breakpoints[1]
+    # raises first below the precision floor, where a case-II cutoff can
+    # underflow to 0 and the S-series would never meet it
+    closed_form_k = _closed_form_k(params, threshold)
     ratio_12 = -(s2 + q * a) / (s1 + p * a)  # cum-slope ratio of the two sides
     steps = _orbit_steps(pl_map)
     zs, cums = [], []
@@ -506,7 +528,7 @@ def solve_series(params: WParams, tail_tol: float = DEFAULT_TAIL_TOL) -> SeriesS
         if z > 0.5 if cum > 0 else z < 0.5:
             s11 += 1.0 / abs_cum
             s22 += 1.0 / abs(cum * ratio_12)
-        if 1.0 / (abs_cum * gap) < SERIES_CUTOFF:
+        if 1.0 / (abs_cum * gap) < cutoff:
             break
     else:
         raise ComputationError("S-series did not meet the cutoff", steps=MAX_SERIES_TERMS)
@@ -526,7 +548,6 @@ def solve_series(params: WParams, tail_tol: float = DEFAULT_TAIL_TOL) -> SeriesS
             solved=(d1, d2),
         )
 
-    closed_form_k = _closed_form_k(params, threshold)
     limit = 2 * closed_form_k
     k = next((n for n, z in enumerate(zs, 1) if z <= threshold), 0)
     while not k and len(zs) < limit:
@@ -553,11 +574,11 @@ def solve_series(params: WParams, tail_tol: float = DEFAULT_TAIL_TOL) -> SeriesS
     bound = abs(coeff)
 
     def below_tol(cum):
-        return bound / (abs(cum) * gap) < tail_tol
+        return bound / (abs(cum) * gap) < tol
 
     # |B_n| grows at every step, so the tail bound only falls along the walk,
     # and a binary search counts the steps taken whose bound is not yet below
-    # tail_tol; while that is all of them, the walk goes on
+    # tol; while that is all of them, the walk goes on
     n_density = bisect_left(cums, True, key=below_tol)
     while n_density == len(cums):
         if n_density >= MAX_SERIES_TERMS:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import normalize, region_integrals, solve_series
+from .density import _case_ii_sums, normalize, region_integrals, solve_series
 from .errors import ComputationError, ParameterError
 from .ulam import MeasureRepr, build_ulam, limit_measure, stationary_density, wasserstein1
 from .wmap import PiecewiseLinearMap, WParams, build_w_map, classify_case, fixed_points
@@ -121,8 +121,9 @@ def ratio_targets(family: Family) -> tuple[float, float, float, float]:
     s1, s2, p, q, r = family.s1, family.s2, family.p, family.q, family.r
     t1 = -(2 * q * s1 + p * s2 * s2 - p - q) / (2 * s1 * s2)
     t2 = -r * s2
-    t3 = -(q * s1 + p * s2 - p - q) / (2 * s1 * s2)
-    tb = -((q * s1 + p * s2 - p - q) * (s2 + 2) + 2 * r * s1 * s2 * s2) / (2 * s1 * s2)
+    theta, _, _, den = _case_ii_sums(s1, s2, p, q, r)
+    t3 = -theta / (2 * s1 * s2)
+    tb = -den / (2 * s1 * s2)
     return (t1, t2, t3, tb)
 
 

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .density import PiecewiseConstantDensity, h0
+from .density import PiecewiseConstantDensity, _case_ii_sums, h0
 from .errors import ComputationError, ParameterError
 from .wmap import PiecewiseLinearMap, classify_case
 
@@ -309,8 +309,5 @@ def limit_measure(s1: float, s2: float, p: float, q: float, r: float) -> Measure
         return point_mass(0.5)
     if case == "III":
         return MeasureRepr(density=h0(s1, s2), atoms=())
-    num = (q * s1 + p * s2 - p - q) * (s2 + 2)
-    den = num + 2 * r * s1 * s2 * s2
-    w_ac = num / den
-    w_atom = 2 * r * s1 * s2 * s2 / den
-    return MeasureRepr(density=h0(s1, s2).scale(w_ac), atoms=((0.5, w_atom),))
+    _, num, atom, den = _case_ii_sums(s1, s2, p, q, r)
+    return MeasureRepr(density=h0(s1, s2).scale(num / den), atoms=((0.5, atom / den),))

@@ -187,6 +187,12 @@ def classify_case(s1, s2) -> str:
     return "I" if total > 1.0 else "III"
 
 
+def _rising_fixed_point(params: WParams) -> float:
+    """x_l, the fixed point of the rising branch 2, without the residual check."""
+    s1, p, r, a = params.s1, params.p, params.r, params.a
+    return (s1 - 1 + p * a - 2 * r * a) / (2 * (s1 - 1 + p * a))
+
+
 def fixed_points(params: WParams) -> tuple[float, float]:
     """(x_l, x_r): the branch-2 fixed point and its branch-3 preimage.
 
@@ -194,7 +200,7 @@ def fixed_points(params: WParams) -> tuple[float, float]:
     the map itself: W(x_l) = x_l and W(x_r) = x_l to machine accuracy.
     """
     s1, s2, p, q, r, a = params.s1, params.s2, params.p, params.q, params.r, params.a
-    x_l = (s1 - 1 + p * a - 2 * r * a) / (2 * (s1 - 1 + p * a))
+    x_l = _rising_fixed_point(params)
     x_r = (
         s2 * s1 - s2
         + (2 * r * s1 - q + p * s2 + q * s1) * a

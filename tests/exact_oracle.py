@@ -1,0 +1,60 @@
+"""An exact reference for the W map's transfer operator, stdlib only.
+
+Float inputs are taken at their exact rational values (``Fraction(x)``), and
+every step is rational arithmetic, so a residual computed here carries no
+rounding of its own.  Nothing here calls acimlab: tests judge its densities
+against this.
+"""
+
+from collections import defaultdict
+from fractions import Fraction
+
+
+def w_branches(s1, s2, p, q, r, a):
+    """The four branches of W_a as exact (lo, hi, slope, intercept).
+
+    W_a rises with slope s1 + p*a from (x1, 0) to the turning value
+    (1/2, 1/2 + r*a) and falls with slope -(s2 + q*a) to (x3, 0); the outer
+    branches are the lines from (0, 1) to (x1, 0) and from (x3, 0) to (1, 1).
+    """
+    s1, s2, p, q, r, a = map(Fraction, (s1, s2, p, q, r, a))
+    half, one = Fraction(1, 2), Fraction(1)
+    lift = half + r * a
+    rise, fall = s1 + p * a, s2 + q * a
+    x1, x3 = half - lift / rise, half + lift / fall
+    right = 1 / (1 - x3)
+    return [
+        (Fraction(0), x1, -1 / x1, one),
+        (x1, half, rise, lift - rise * half),
+        (half, x3, -fall, lift + fall * half),
+        (x3, one, right, 1 - right),
+    ]
+
+
+def relative_invariance_residual(params, breakpoints, values):
+    """||P f - f||_1 / ||f||_1 for the piecewise-constant f on ``breakpoints``.
+
+    P f is the sum over branches and cells of value/|slope| on each cell's
+    image.  P f - f is kept as its jumps at each point, and the L1 norm is
+    the integral of the running sum of those jumps.
+    """
+    bp = [Fraction(x) for x in breakpoints]
+    vals = [Fraction(v) for v in values]
+    jumps = defaultdict(Fraction)
+    for lo, hi, slope, intercept in w_branches(*params):
+        for left, right, v in zip(bp, bp[1:], vals):
+            left, right = max(left, lo), min(right, hi)
+            if right > left:
+                y0, y1 = slope * left + intercept, slope * right + intercept
+                jumps[min(y0, y1)] += v / abs(slope)
+                jumps[max(y0, y1)] -= v / abs(slope)
+    for left, right, v in zip(bp, bp[1:], vals):
+        jumps[left] -= v
+        jumps[right] += v
+    points = sorted(jumps)
+    gap, run = Fraction(0), Fraction(0)
+    for x, y in zip(points, points[1:]):
+        run += jumps[x]
+        gap += abs(run) * (y - x)
+    norm = sum(abs(v) * (right - left) for left, right, v in zip(bp, bp[1:], vals))
+    return float(gap / norm)

@@ -30,7 +30,7 @@ from acimlab.density import (
 )
 from acimlab.errors import ComputationError, ParameterError
 from acimlab.ulam import MeasureRepr, limit_measure, wasserstein1
-from acimlab.wmap import WParams, build_w_map
+from acimlab.wmap import WParams, build_w_map, classify_case
 from conftest import valid_a_max
 
 # ---------------------------------------------------------------------------
@@ -130,10 +130,15 @@ def reference_solve_series(params, tail_tol=DEFAULT_TAIL_TOL):
     density._require_series_case(params)
     if not (math.isfinite(tail_tol) and tail_tol > 0):
         raise ParameterError(f"tail_tol must be finite and > 0 (got {tail_tol!r})")
-    s1, s2, p, q, a = params.s1, params.s2, params.p, params.q, params.a
+    s1, s2, p, q, r, a = params.s1, params.s2, params.p, params.q, params.r, params.a
+    # case II: both stopping rules relative to ||f||_1 ~ a * |B/a limit|
+    mass = 1.0
+    if classify_case(s1, s2) == "II":
+        mass = a * ((q * s1 + p * s2 - p - q) * (s2 + 2) + 2 * r * s1 * s2 * s2) / (2 * s1 * s2)
     pl_map = build_w_map(params)
     gap = pl_map.min_abs_slope - 1.0
     threshold = pl_map.breakpoints[1]
+    closed_form_k = density._closed_form_k(params, threshold)
     ratio_12 = -(s2 + q * a) / (s1 + p * a)
     steps = density._orbit_steps(pl_map)
     zs, cums = [], []
@@ -150,7 +155,7 @@ def reference_solve_series(params, tail_tol=DEFAULT_TAIL_TOL):
         cum2 = cum * ratio_12
         if (cum2 < 0 and z > 0.5) or (cum2 > 0 and z < 0.5):
             s22 += 1.0 / abs(cum2)
-        if 1.0 / (abs(cum) * gap) < SERIES_CUTOFF:
+        if 1.0 / (abs(cum) * gap) < SERIES_CUTOFF * mass:
             break
         if n >= MAX_SERIES_TERMS:
             raise ComputationError("S-series did not meet the cutoff", steps=n)
@@ -161,7 +166,6 @@ def reference_solve_series(params, tail_tol=DEFAULT_TAIL_TOL):
     lam = 1.0 / denominator
     d1, d2 = np.linalg.solve(np.array([[1.0 - s11, -s22], [-s11, 1.0 - s22]]), np.ones(2))
     assert abs(d1 - lam) <= 1e-6 * abs(lam) and abs(d2 - lam) <= 1e-6 * abs(lam)
-    closed_form_k = density._closed_form_k(params, threshold)
     limit = 2 * closed_form_k
     while not k and n < limit:
         z, cum = next(steps)
@@ -194,7 +198,7 @@ def reference_solve_series(params, tail_tol=DEFAULT_TAIL_TOL):
             cums.append(cum)
             n += 1
         n_density += 1
-        if abs(coeff) / (abs(cums[n_density - 1]) * gap) < tail_tol:
+        if abs(coeff) / (abs(cums[n_density - 1]) * gap) < tail_tol * mass:
             break
         if n_density >= MAX_SERIES_TERMS:
             raise ComputationError("density series did not converge", steps=n_density)

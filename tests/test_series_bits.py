@@ -9,9 +9,9 @@ sums or Wasserstein-1 must reproduce all of it exactly.
 
 A change that is meant to move these numbers regenerates the file with
 ``PYTHONPATH=src python tests/test_series_bits.py`` and says which rows moved
-and why.  Scaling the case-II stopping rules by ||f||_1 (ROADMAP item 1)
-will regenerate the case-II rows: the first three families below, and the
-counterexample rows, whose maps (s1 = s2 = 2) are case II too.
+and why.  Making the case-II stopping rules relative to ||f||_1 moved the
+case-II rows: the first three families below, and the counterexample rows,
+whose maps (s1 = s2 = 2) are case II too; the case-III rows did not move.
 """
 
 import dataclasses
