@@ -23,16 +23,12 @@ _EXPORTS = {
         "SeriesSolution",
         "TurningOrbit",
         "bounding_densities",
-        "density_series",
         "h0",
         "l1_distance",
-        "lambda_solve",
         "normalize",
         "region_integrals",
-        "renormalized_density_vartheta0",
         "solve_series",
         "transfer_operator_apply",
-        "turning_orbit",
         "vartheta",
     ),
     "errors": ("ComputationError", "ParameterError"),

@@ -34,8 +34,6 @@ def _fmt(value) -> str:
     """Shortest round-trip text for a cell; empty for missing values."""
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
@@ -60,10 +58,6 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _config_json(config: dict) -> str:
-    return json.dumps(config, sort_keys=True)
-
-
 def _emit(
     path: str,
     fmt: str,
@@ -77,7 +71,7 @@ def _emit(
     if fmt == "csv":
         lines = [
             f"# acimlab {__version__}",
-            f"# config: {_config_json(config)}",
+            f"# config: {json.dumps(config, sort_keys=True)}",
             ",".join(header),
         ]
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
@@ -121,13 +115,8 @@ def _parse_schedule(args) -> list[float]:
     return [float(v) for v in vals]
 
 
-def _wparams(args, a=None) -> WParams:
-    try:
-        return WParams(args.s1, args.s2, args.p, args.q, args.r, args.a if a is None else a)
-    except ParameterError:
-        raise
-    except TypeError as exc:
-        raise ParameterError(f"incomplete parameters: {exc}") from exc
+def _wparams(args) -> WParams:
+    return WParams(args.s1, args.s2, args.p, args.q, args.r, args.a)
 
 
 def _add_family_flags(parser, with_a=True):
@@ -294,7 +283,7 @@ def _cmd_map_eval(args, config):
 
 
 def _density_cells(args, method):
-    from .density import density_series, h0, normalize
+    from .density import h0, normalize, solve_series
 
     if method == "ulam":
         from .ulam import build_ulam, stationary_density
@@ -305,7 +294,7 @@ def _density_cells(args, method):
     params = _wparams(args)
     if params.a == 0:
         return h0(params.s1, params.s2)
-    return normalize(density_series(params, tail_tol=args.tail_tol))
+    return normalize(solve_series(params, args.tail_tol).density)
 
 
 def _cmd_density(args, config):

@@ -380,16 +380,6 @@ def _closed_form_offset(params: WParams) -> tuple[float, float, float]:
     return x_l, dist, beta2
 
 
-def closed_form_orbit_point(params: WParams, m: int) -> float:
-    """W^m(1/2) for 2 <= m <= k from the rising-branch closed form.
-
-    The orbit point sits at distance D * (s1+pa)^(m-2) below the rising
-    branch's fixed point, with D determined by the second orbit point.
-    """
-    x_l, dist, beta2 = _closed_form_offset(params)
-    return x_l - dist * beta2 ** (m - 2)
-
-
 def _closed_form_k(params: WParams, threshold: float) -> int:
     """Smallest m with closed-form W^m(1/2) <= threshold."""
     x_l, offset, beta2 = _closed_form_offset(params)
@@ -619,23 +609,6 @@ def solve_series(params: WParams, tail_tol: float = DEFAULT_TAIL_TOL) -> SeriesS
     return SeriesSolution(params=params, orbit=orbit, lam=lam_data, density=density)
 
 
-def turning_orbit(params: WParams) -> TurningOrbit:
-    """The turning-point orbit up to its exit from the rising branch."""
-    return solve_series(params).orbit
-
-
-def lambda_solve(params: WParams) -> LambdaData:
-    """The S-series along the turning orbit and the Lambda they determine."""
-    return solve_series(params).lam
-
-
-def density_series(
-    params: WParams, tail_tol: float = DEFAULT_TAIL_TOL
-) -> PiecewiseConstantDensity:
-    """The non-normalized invariant density as a piecewise-constant function."""
-    return solve_series(params, tail_tol).density
-
-
 # ---------------------------------------------------------------------------
 # companions of the series density
 
@@ -686,9 +659,6 @@ class RegionIntegrals:
     c2: float
     c3: float
     b: float
-    j1: tuple[float, float]
-    j2: tuple[float, float]
-    j3: tuple[float, float]
 
 
 def region_integrals(orbit: TurningOrbit, f: PiecewiseConstantDensity) -> RegionIntegrals:
@@ -703,9 +673,30 @@ def region_integrals(orbit: TurningOrbit, f: PiecewiseConstantDensity) -> Region
     c1 = f.integral_over(0.0, t1)
     c2 = f.integral_over(t1, t2)
     c3 = f.integral_over(t2, 1.0)
-    return RegionIntegrals(
-        c1=c1, c2=c2, c3=c3, b=c1 + c2 + c3, j1=(0.0, t1), j2=(t1, t2), j3=(t2, 1.0)
-    )
+    return RegionIntegrals(c1=c1, c2=c2, c3=c3, b=c1 + c2 + c3)
+
+
+# ---------------------------------------------------------------------------
+# single-field views of solve_series.  They are not public names: the package
+# reads solve_series, and the benchmark harness in benchmark/, which wraps
+# and calls them by name, is their last caller.  Each runs a whole solve.
+
+
+def turning_orbit(params: WParams) -> TurningOrbit:
+    """The turning-point orbit up to its exit from the rising branch."""
+    return solve_series(params).orbit
+
+
+def lambda_solve(params: WParams) -> LambdaData:
+    """The S-series along the turning orbit and the Lambda they determine."""
+    return solve_series(params).lam
+
+
+def density_series(
+    params: WParams, tail_tol: float = DEFAULT_TAIL_TOL
+) -> PiecewiseConstantDensity:
+    """The non-normalized invariant density as a piecewise-constant function."""
+    return solve_series(params, tail_tol).density
 
 
 def renormalized_density_vartheta0(

@@ -15,16 +15,13 @@ import pytest
 
 from acimlab.density import (
     bounding_densities,
-    density_series,
     h0,
     l1_distance,
-    lambda_solve,
     normalize,
     refine_pair,
     region_integrals,
     solve_series,
     transfer_operator_apply,
-    turning_orbit,
     vartheta,
 )
 from acimlab.experiments import (
@@ -72,7 +69,7 @@ def cross_oracle_data():
     for family in CROSS_ORACLE_SETS:
         for a in (0.05, 0.01):
             params = WParams(*family, a)
-            raw = density_series(params)
+            raw = solve_series(params).density
             series = normalize(raw)
             ulam = stationary_density(build_ulam(build_w_map(params), 2**14))
             data.append((params, raw, series, ulam))
@@ -116,12 +113,12 @@ def test_criterion_3_invariance(cross_oracle_data):
 
 def test_criterion_4_stopping_time():
     with criterion(4, "closed-form stopping index equals the threshold scan"):
-        assert turning_orbit(WParams(2, 2, 1, 1, 1, 0.01)).k == 13
+        assert solve_series(WParams(2, 2, 1, 1, 1, 0.01)).orbit.k == 13
         rng = np.random.default_rng(7041982)
         for draw in (draw_case_ii, draw_case_iii):
             for _ in range(100):
                 params = draw(rng)
-                orbit = turning_orbit(params)
+                orbit = solve_series(params).orbit
                 assert orbit.k == orbit.closed_form_k, params
 
 
@@ -133,7 +130,8 @@ def test_criterion_5_case_ii_asymptotics():
         assert targets == pytest.approx((-28 / 9, -6.0, -7 / 9, -89 / 9), abs=1e-12)
         errors = []
         for a in (1e-2, 1e-3, 1e-4):
-            reg = region_integrals(turning_orbit(family.at(a)), density_series(family.at(a)))
+            solution = solve_series(family.at(a))
+            reg = region_integrals(solution.orbit, solution.density)
             ratios = (reg.c1 / a, reg.c2 / a, reg.c3 / a, reg.b / a)
             errors.append([abs(x - t) for x, t in zip(ratios, targets)])
             if a == 1e-4:
@@ -151,7 +149,7 @@ def test_criterion_6_case_ii_weights():
         assert lim.atoms[0][1] == pytest.approx(54 / 89, abs=1e-15)
         distances = []
         for a in (0.05, 0.01, 0.002, 4e-4):
-            h = normalize(density_series(WParams(1.5, 3.0, 3.0, 2.0, 2.0, a)))
+            h = normalize(solve_series(WParams(1.5, 3.0, 3.0, 2.0, 2.0, a)).density)
             distances.append(wasserstein1(MeasureRepr(density=h), lim))
         assert all(b < a for a, b in zip(distances, distances[1:]))
         assert distances[-1] < 0.02
@@ -189,14 +187,14 @@ def test_criterion_8_case_iii_uniform_bounds():
         assert np.isfinite(report.sup_over_sweep)
         limit = h0(4.0, 4.0)
         l1s = [
-            l1_distance(normalize(density_series(family.at(float(a)))), limit)
+            l1_distance(normalize(solve_series(family.at(float(a))).density), limit)
             for a in schedule
         ]
         assert all(b < a for a, b in zip(l1s, l1s[1:]))
         assert l1s[-1] < 0.02
-        params = family.at(1e-4)
-        for f in (density_series(params), bounding_densities(solve_series(params)).f_high):
-            reg = region_integrals(turning_orbit(params), f)
+        solution = solve_series(family.at(1e-4))
+        for f in (solution.density, bounding_densities(solution).f_high):
+            reg = region_integrals(solution.orbit, f)
             assert reg.c1 == pytest.approx(1.25, rel=0.05)
             assert reg.c3 == pytest.approx(0.75, rel=0.05)
             assert reg.b == pytest.approx(2.0, rel=0.05)
@@ -208,8 +206,8 @@ def test_criterion_9_vartheta_branches():
         assert vartheta(2.2, 2.2) == pytest.approx(-2 / 3, abs=1e-12)
         assert vartheta(4.0, 4.0) == pytest.approx(1 / 3, abs=1e-12)
         assert vartheta(3.0, 3.0) == pytest.approx(0.0, abs=1e-12)
-        assert lambda_solve(WParams(2.2, 2.2, 1, 1, 1, 0.01)).lam < 0
-        assert lambda_solve(WParams(4.0, 4.0, 1, 1, 1, 0.01)).lam > 0
+        assert solve_series(WParams(2.2, 2.2, 1, 1, 1, 0.01)).lam.lam < 0
+        assert solve_series(WParams(4.0, 4.0, 1, 1, 1, 0.01)).lam.lam > 0
         schedule = np.logspace(np.log10(0.05), -4, 9)
         for s in (2.2, 4.0, 3.0):
             report = uniform_bound_check(Family(s, s, 1.0, 1.0, 1.0), schedule)

@@ -32,6 +32,15 @@ def run_cli(cli_env):
     return run
 
 
+def _rejected(result, needle):
+    """Exit 2 with one acimlab: line on stderr that names the fault, and no traceback."""
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("acimlab: config error: ")
+    assert needle in result.stderr
+
+
 def test_classify_stdout(tmp_path, run_cli):
     result = run_cli(["classify", "--s1", "1.5", "--s2", "3"], tmp_path)
     assert result.returncode == 0, result.stderr
@@ -62,10 +71,10 @@ def test_density_csv_roundtrip(tmp_path, run_cli):
         for line in (tmp_path / "dens.csv").read_text().splitlines()
         if not line.startswith("#")
     ][1:]
-    from acimlab.density import density_series, normalize
+    from acimlab.density import normalize, solve_series
     from acimlab.wmap import WParams
 
-    h = normalize(density_series(WParams(1.5, 3.0, 3.0, 2.0, 2.0, 0.05)))
+    h = normalize(solve_series(WParams(1.5, 3.0, 3.0, 2.0, 2.0, 0.05)).density)
     assert len(rows) == h.values.size
     for (left, right, value), bl, br, bv in zip(
         rows, h.breakpoints[:-1], h.breakpoints[1:], h.values
@@ -200,7 +209,7 @@ def test_computation_error_exits_3(monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise ComputationError("synthetic blowup")
 
-    monkeypatch.setattr(acimlab.density, "density_series", explode)
+    monkeypatch.setattr(acimlab.density, "solve_series", explode)
     code = cli.main(
         ["density", "--s1", "1.5", "--s2", "3", "--p", "3", "--q", "2", "--r", "2",
          "--a", "0.05", "--output", "never.csv"]
@@ -300,14 +309,17 @@ def test_ulam_non_convergence_exits_3(tmp_path, monkeypatch, capsys):
         ({"s1": True}, ["classify", "--s2", "3"]),
         ({"a_points": 3.0}, ["sweep", "--s1", "1.5", "--s2", "3", "--a-start", "0.01",
                              "--a-stop", "0.001", "--output", "x.csv"]),
+        ({"method": "exact"}, ["density", "--s1", "2", "--s2", "2", "--a", "0",
+                               "--output", "x.csv"]),
+        ({"output": 3}, ["density", "--s1", "2", "--s2", "2", "--a", "0"]),
+        ({"a_schedule": [0.01, "x"]}, ["sweep", "--s1", "3", "--s2", "3", "--output", "x.csv"]),
     ],
 )
 def test_config_value_of_wrong_type_exits_2(tmp_path, run_cli, config, args):
     (tmp_path / "cfg.json").write_text(json.dumps(config))
     result = run_cli(["--config", "cfg.json", *args], tmp_path)
-    assert result.returncode == 2, result.stderr
-    assert "Traceback" not in result.stderr
-    assert next(iter(config)) in result.stderr
+    _rejected(result, f"invalid value for {next(iter(config))}")
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("output", ["missing/x.csv", "taken"])
@@ -449,3 +461,88 @@ def test_log_schedule_needs_positive_ends(tmp_path, run_cli, ends):
         "acimlab: config error: a log-spaced schedule needs a_start > 0 and a_stop > 0\n"
     )
     assert not (tmp_path / "x.csv").exists()
+
+
+SWEEP_III = ["sweep", "--s1", "3", "--s2", "3"]
+
+
+@pytest.mark.parametrize(
+    "args, needle",
+    [
+        ([*SWEEP_III, "--a-start", "0.01", "--a-stop", "0.001", "--a-points", "0",
+          "--output", "x.csv"], "a_points must be >= 1"),
+        ([*SWEEP_III, "--a-start", "0.01", "--output", "x.csv"],
+         "pass --a-schedule or all of --a-start/--a-stop/--a-points"),
+        (["counterexample", "--n-max", "0", "--output", "x.csv"], "n_max must be >= 1"),
+    ],
+)
+def test_bad_schedule_or_row_count_exits_2(tmp_path, run_cli, args, needle):
+    _rejected(run_cli(args, tmp_path), needle)
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text, needle",
+    [
+        (None, "cannot read cfg.json: [Errno 2]"),
+        ("{", "cannot read cfg.json: Expecting"),
+        ('["s1", 1.5]', "top-level JSON object required"),
+    ],
+)
+def test_unreadable_or_non_object_config_exits_2(tmp_path, run_cli, text, needle):
+    if text is not None:
+        (tmp_path / "cfg.json").write_text(text)
+    args = ["--config", "cfg.json", "classify", "--s1", "1.5", "--s2", "3"]
+    _rejected(run_cli(args, tmp_path), needle)
+
+
+def test_map_eval_without_steps_prints_the_image(tmp_path, run_cli):
+    point = ["map-eval", "--s1", "1.5", "--s2", "3", "--p", "3", "--q", "2", "--r", "2",
+             "--a", "0.05", "--x", "0.5"]
+    result = run_cli(point, tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    assert float(result.stdout) == pytest.approx(0.6, abs=1e-12)
+    # the same image as the first step of the orbit
+    assert result.stdout == run_cli([*point, "--steps", "1"], tmp_path).stdout.split("\n", 1)[1]
+
+
+def test_series_density_at_a_zero_is_h0(tmp_path, run_cli):
+    result = run_cli(["density", "--s1", "2", "--s2", "2", "--a", "0", "--output", "h0.csv"], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "h0.csv").read_text().splitlines()[2:] == [
+        "cell_left,cell_right,value", "0.0,0.5,1.5", "0.5,1.0,0.5"
+    ]
+
+
+def test_generated_linear_schedule(tmp_path, run_cli):
+    result = run_cli(
+        [*SWEEP_III, "--a-start", "0.03", "--a-stop", "0.01", "--a-points", "3",
+         "--a-spacing", "linear", "--output", "s.csv"],
+        tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    rows = (tmp_path / "s.csv").read_text().splitlines()[3:]
+    assert [float(row.split(",")[0]) for row in rows] == pytest.approx([0.03, 0.02, 0.01], abs=1e-15)
+
+
+def test_config_list_schedule_matches_the_flag(tmp_path, run_cli):
+    (tmp_path / "cfg.json").write_text(json.dumps({"a_schedule": [0.05, 0.01]}))
+    from_config = run_cli(["--config", "cfg.json", *SWEEP_III, "--output", "c.csv"], tmp_path)
+    from_flag = run_cli([*SWEEP_III, "--a-schedule", "0.05,0.01", "--output", "f.csv"], tmp_path)
+    assert from_config.returncode == 0, from_config.stderr
+    assert from_flag.returncode == 0, from_flag.stderr
+    rows = (tmp_path / "c.csv").read_text().splitlines()[2:]
+    assert len(rows) == 3
+    assert rows == (tmp_path / "f.csv").read_text().splitlines()[2:]
+
+
+def test_config_null_and_other_subcommands_keys_are_ignored(tmp_path, run_cli):
+    result = _config_run(tmp_path, run_cli, {"tail_tol": None, "n_max": 3}, "--bins", "2",
+                         "--align-half")
+    assert result.returncode == 0, result.stderr
+    lines = (tmp_path / "d.csv").read_text().splitlines()
+    resolved = json.loads(lines[1].removeprefix("# config: "))
+    assert resolved["tail_tol"] == 1e-10  # null leaves the flag's default
+    assert "n_max" not in resolved
+    assert lines[3:] == ["0.0,0.5,1.5", "0.5,1.0,0.5"]

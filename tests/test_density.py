@@ -1,5 +1,7 @@
 """Series density machinery: orbit, Lambda, bounds, integrals, invariance."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,17 +12,14 @@ from acimlab.density import (
     PiecewiseConstantDensity,
     _accumulate,
     bounding_densities,
-    density_series,
     h0,
     l1_distance,
-    lambda_solve,
     normalize,
     refine_pair,
     region_integrals,
     renormalized_density_vartheta0,
     solve_series,
     transfer_operator_apply,
-    turning_orbit,
     vartheta,
 )
 from acimlab.errors import ComputationError, ParameterError
@@ -39,12 +38,12 @@ def draw_case_iii_negative_lambda(rng, a_cap=0.1):
         params = draw_case_iii(rng, a_cap=a_cap)
         if vartheta(params.s1, params.s2) >= 0:
             continue
-        lam = lambda_solve(params)
+        lam = solve_series(params).lam
         while not (lam.lam < 0 and lam.lam_low < 0 and lam.lam_high < 0):
             params = WParams(
                 params.s1, params.s2, params.p, params.q, params.r, params.a * 0.5
             )
-            lam = lambda_solve(params)
+            lam = solve_series(params).lam
         return params, lam
 
 
@@ -129,7 +128,7 @@ def test_normalize_degenerate():
 
 
 def test_turning_orbit_small_lift():
-    orbit = turning_orbit(SMALL_LIFT)
+    orbit = solve_series(SMALL_LIFT).orbit
     assert orbit.orbit[0] == pytest.approx(0.51, abs=1e-15)
     assert orbit.orbit[1] == pytest.approx(0.4899, abs=1e-14)
     assert orbit.k == 13
@@ -142,7 +141,7 @@ def test_turning_orbit_small_lift():
 def test_turning_orbit_second_point(rng):
     for _ in range(50):
         p = draw_case_ii(rng)
-        orbit = turning_orbit(p)
+        orbit = solve_series(p).orbit
         expected = -p.r * p.a * (p.s2 + p.q * p.a) + 0.5 + p.r * p.a
         assert orbit.orbit[1] == pytest.approx(expected, rel=1e-12)
 
@@ -150,7 +149,7 @@ def test_turning_orbit_second_point(rng):
 def test_turning_orbit_geometric_cumulative_slopes(rng):
     for _ in range(50):
         p = draw_case_iii(rng)
-        orbit = turning_orbit(p)
+        orbit = solve_series(p).orbit
         rise, fall = p.s1 + p.p * p.a, p.s2 + p.q * p.a
         for n in range(2, orbit.k + 1):
             expected = -fall * rise ** (n - 1)
@@ -158,14 +157,13 @@ def test_turning_orbit_geometric_cumulative_slopes(rng):
 
 
 def test_orbit_matches_closed_form(rng):
-    from acimlab.density import closed_form_orbit_point
-
     for draw in (draw_case_ii, draw_case_iii):
         for _ in range(50):
             p = draw(rng)
-            orbit = turning_orbit(p)
+            orbit = solve_series(p).orbit
+            x_l, dist, beta2 = density._closed_form_offset(p)
             for m in range(3, orbit.k + 1):
-                closed = closed_form_orbit_point(p, m)
+                closed = x_l - dist * beta2 ** (m - 2)
                 assert abs(orbit.point(m) - closed) / abs(closed) < 1e-9
 
 
@@ -178,15 +176,15 @@ def test_closed_form_offset_is_measured_from_the_maps_fixed_point(rng):
 def test_ak_trend_to_zero():
     values = []
     for a in (1e-2, 1e-3, 1e-4):
-        values.append(a * turning_orbit(WParams(2, 2, 1, 1, 1, a)).k)
+        values.append(a * solve_series(WParams(2, 2, 1, 1, 1, a)).orbit.k)
     assert values[0] > values[1] > values[2]
 
 
 def test_turning_orbit_rejects_case_i():
     with pytest.raises(ParameterError):
-        turning_orbit(WParams(4 / 3, 5 / 2, 3.0, 2.0, 2.0, 0.05))
+        solve_series(WParams(4 / 3, 5 / 2, 3.0, 2.0, 2.0, 0.05))
     with pytest.raises(ParameterError):
-        turning_orbit(WParams(2.0, 2.0, 1.0, 1.0, 1.0, 0.0))
+        solve_series(WParams(2.0, 2.0, 1.0, 1.0, 1.0, 0.0))
 
 
 def test_turning_orbit_truncation_error(monkeypatch):
@@ -204,7 +202,7 @@ def test_turning_orbit_truncation_error(monkeypatch):
 
     monkeypatch.setattr(density, "_orbit_steps", counted)
     with pytest.raises(ComputationError, match="precision floor"):
-        turning_orbit(params)
+        solve_series(params)
     assert len(steps) == 2 * 53
 
 
@@ -215,22 +213,21 @@ def test_turning_orbit_truncation_error(monkeypatch):
 def test_lambda_case_ii_below_minus_one(rng):
     for _ in range(30):
         p = draw_case_ii(rng, a_cap=0.03)
-        lam = lambda_solve(p)
+        lam = solve_series(p).lam
         assert lam.lam < -1
         assert lam.lam_low < -1 and lam.lam_high < -1
 
 
 def test_lambda_limit_strong_expansion():
     # vartheta(4, 4) = 1/3, so Lambda approaches 3 from the estimate squeeze
-    errors = []
-    for a in (1e-2, 1e-3, 1e-4):
-        errors.append(abs(lambda_solve(WParams(4, 4, 1, 1, 1, a)).lam - 3.0))
+    lams = [solve_series(WParams(4, 4, 1, 1, 1, a)).lam for a in (1e-2, 1e-3, 1e-4)]
+    errors = [abs(lam.lam - 3.0) for lam in lams]
     assert errors[-1] < 1e-2
-    assert lambda_solve(WParams(4, 4, 1, 1, 1, 1e-4)).vartheta == pytest.approx(1 / 3)
+    assert lams[-1].vartheta == pytest.approx(1 / 3)
 
 
 def test_lambda_negative_branch():
-    lam = lambda_solve(WParams(2.2, 2.2, 1, 1, 1, 0.01))
+    lam = solve_series(WParams(2.2, 2.2, 1, 1, 1, 0.01)).lam
     assert lam.vartheta == pytest.approx(-2 / 3, abs=1e-12)
     assert lam.lam_low < 0 and lam.lam_high < 0
 
@@ -239,7 +236,7 @@ def test_s_matrix_relation(rng):
     for draw in (draw_case_ii, draw_case_iii):
         for _ in range(30):
             p = draw(rng)
-            lam = lambda_solve(p)
+            lam = solve_series(p).lam
             ratio = (p.s2 + p.q * p.a) / (p.s1 + p.p * p.a)
             assert abs(lam.s11 - ratio * lam.s22) < 1e-11
 
@@ -249,18 +246,11 @@ def test_lambda_bracketing(rng):
     # (rising slope is the smallest) and case III with both estimates negative
     for _ in range(40):
         p = draw_case_ii(rng)
-        lam = lambda_solve(p)
+        lam = solve_series(p).lam
         assert lam.lam_low - 1e-10 <= lam.lam <= lam.lam_high + 1e-10
     for _ in range(40):
         _, lam = draw_case_iii_negative_lambda(rng)
         assert lam.lam_low - 1e-10 <= lam.lam <= lam.lam_high + 1e-10
-
-
-def test_lambda_rejects_case_i_and_zero_a():
-    with pytest.raises(ParameterError):
-        lambda_solve(WParams(4 / 3, 5 / 2, 3.0, 2.0, 2.0, 0.05))
-    with pytest.raises(ParameterError):
-        lambda_solve(WParams(2, 2, 1, 1, 1, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +259,32 @@ def test_lambda_rejects_case_i_and_zero_a():
 
 def test_first_term_coefficient():
     # crossing the lift from below drops exactly the first series term
-    lam = lambda_solve(FIG_PARAMS).lam
-    f = density_series(FIG_PARAMS)
+    solution = solve_series(FIG_PARAMS)
+    lam, f = solution.lam.lam, solution.density
     lift = 0.5 + FIG_PARAMS.r * FIG_PARAMS.a
     jump = f.value_at(lift - 1e-12) - f.value_at(lift + 1e-12)
     coeff = (1 + 1.65 / 3.1) * lam / 1.65
     assert jump == pytest.approx(coeff, rel=1e-12)
+
+
+def same_bits(x, y) -> bool:
+    """Whether two dataclass instances of one type hold the same bytes, field by field."""
+    return type(x) is type(y) and all(
+        np.asarray(getattr(x, f.name)).tobytes() == np.asarray(getattr(y, f.name)).tobytes()
+        for f in dataclasses.fields(x)
+    )
+
+
+@pytest.mark.parametrize("p", [FIG_PARAMS, WParams(4, 4, 1, 1, 1, 0.01)])
+def test_views_return_their_solve_series_field(p):
+    """turning_orbit, lambda_solve and density_series are solve_series' fields, bit for bit."""
+    solution = solve_series(p)
+    assert same_bits(density.turning_orbit(p), solution.orbit)
+    assert same_bits(density.lambda_solve(p), solution.lam)
+    assert same_bits(density.density_series(p), solution.density)
+    coarse = solve_series(p, 1e-6).density
+    assert coarse.values.size < solution.density.values.size  # the tolerance reaches the solve
+    assert same_bits(density.density_series(p, tail_tol=1e-6), coarse)
 
 
 def test_invariance_under_transfer_operator(rng):
@@ -283,7 +293,7 @@ def test_invariance_under_transfer_operator(rng):
     cases += [draw_case_ii(rng) for _ in range(5)]
     cases += [draw_case_iii(rng) for _ in range(5)]
     for p in cases:
-        f = density_series(p, tail_tol=tail_tol)
+        f = solve_series(p, tail_tol).density
         pf = transfer_operator_apply(build_w_map(p), f)
         assert l1_distance(pf, f) < 10 * tail_tol
 
@@ -421,7 +431,7 @@ def test_transfer_operator_constant_mass():
 def test_series_vs_ulam_smoke():
     from acimlab.ulam import build_ulam, stationary_density
 
-    h = normalize(density_series(FIG_PARAMS))
+    h = normalize(solve_series(FIG_PARAMS).density)
     ulam = build_ulam(build_w_map(FIG_PARAMS), 2**12)
     assert l1_distance(h, stationary_density(ulam)) < 0.05
 
@@ -433,8 +443,8 @@ def test_series_vs_ulam_smoke():
 def test_sandwich_case_ii(rng):
     for _ in range(60):
         p = draw_case_ii(rng)
-        bounds = bounding_densities(solve_series(p))
-        f = density_series(p)
+        solution = solve_series(p)
+        bounds, f = bounding_densities(solution), solution.density
         _, low, mid = refine_pair(bounds.f_low, f)
         assert np.all(low <= mid + 1e-9)
         _, mid2, high = refine_pair(f, bounds.f_high)
@@ -445,8 +455,8 @@ def test_sandwich_case_ii(rng):
 def test_sandwich_case_iii_negative_lambda(rng):
     for _ in range(40):
         p, _ = draw_case_iii_negative_lambda(rng)
-        bounds = bounding_densities(solve_series(p))
-        f = density_series(p)
+        solution = solve_series(p)
+        bounds, f = bounding_densities(solution), solution.density
         _, low, mid = refine_pair(bounds.f_low, f)
         assert np.all(low <= mid + 1e-9)
         _, mid2, high = refine_pair(f, bounds.f_high)
@@ -458,16 +468,16 @@ def test_positive_lambda_series_at_least_one(rng):
     # with positive Lambda every series coefficient is positive
     for _ in range(30):
         p = draw_case_iii(rng)
-        if lambda_solve(p).lam <= 0:
+        solution = solve_series(p)
+        if solution.lam.lam <= 0:
             continue
-        f = density_series(p)
-        assert np.min(f.values) >= 1.0 - 1e-12
+        assert np.min(solution.density.values) >= 1.0 - 1e-12
 
 
 def _indicator_coefficients(p):
     """Coefficients of the two-sided bound representation, per estimate."""
-    lam = lambda_solve(p)
-    orbit = turning_orbit(p)
+    solution = solve_series(p)
+    lam, orbit = solution.lam, solution.orbit
     rise, fall = p.s1 + p.p * p.a, p.s2 + p.q * p.a
     total = p.s1 + p.s2 + p.p * p.a + p.q * p.a
     out = []
@@ -476,7 +486,7 @@ def _indicator_coefficients(p):
         chic = lam.eta * (1 - rise ** -(orbit.k1 - 1)) * est + 1.0
         chij = [total / fall**2 * est / rise ** (j - 1) for j in range(2, orbit.k1 + 1)]
         out.append((chi1, chic, chij))
-    return lam, orbit, out
+    return solution, out
 
 
 def test_case_ii_coefficients_negative(rng):
@@ -484,7 +494,7 @@ def test_case_ii_coefficients_negative(rng):
     for _ in range(40):
         p = draw_case_ii(rng, a_cap=0.03)
         for _ in range(60):
-            lam, orbit, coeffs = _indicator_coefficients(p)
+            solution, coeffs = _indicator_coefficients(p)
             if all(
                 chi1 < 0 and chic < 0 and all(c < 0 for c in chij)
                 for chi1, chic, chij in coeffs
@@ -496,10 +506,11 @@ def test_case_ii_coefficients_negative(rng):
         # cross-check the chi_1 coefficient against the built f_high plateau
         rise, fall = p.s1 + p.p * p.a, p.s2 + p.q * p.a
         total = p.s1 + p.s2 + p.p * p.a + p.q * p.a
-        bounds = bounding_densities(solve_series(p))
+        bounds = bounding_densities(solution)
+        orbit = solution.orbit
         plateau = bounds.f_high.value_at(orbit.point(orbit.k1) * 0.5)
         assert plateau == pytest.approx(
-            total / (fall * rise) * lam.lam_high + 1.0, rel=1e-9
+            total / (fall * rise) * solution.lam.lam_high + 1.0, rel=1e-9
         )
 
 
@@ -507,9 +518,9 @@ def test_g_l_sup_bound(rng):
     # |g_l| <= 1/s1 + 1/(s2*(s1-1)); read g_l off f_high
     for _ in range(40):
         p = draw_case_iii(rng)
-        lam = lambda_solve(p)
-        bounds = bounding_densities(solve_series(p))
-        coeff = (1 + (p.s1 + p.p * p.a) / (p.s2 + p.q * p.a)) * lam.lam_high
+        solution = solve_series(p)
+        bounds = bounding_densities(solution)
+        coeff = (1 + (p.s1 + p.p * p.a) / (p.s2 + p.q * p.a)) * solution.lam.lam_high
         g_values = (bounds.f_high.values - 1.0) / coeff
         assert np.max(np.abs(g_values)) <= 1 / p.s1 + 1 / (p.s2 * (p.s1 - 1)) + 1e-12
 
@@ -519,34 +530,32 @@ def test_g_l_sup_bound(rng):
 
 
 def test_region_integrals_of_h0():
-    reg = region_integrals(turning_orbit(SMALL_LIFT), h0(2.0, 2.0))
+    reg = region_integrals(solve_series(SMALL_LIFT).orbit, h0(2.0, 2.0))
     assert reg.b == pytest.approx(1.0, abs=1e-12)
     assert reg.c1 + reg.c2 + reg.c3 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_region_integrals_mass_additivity(rng):
     for _ in range(30):
-        p = draw_case_ii(rng)
-        f = density_series(p)
-        reg = region_integrals(turning_orbit(p), f)
+        solution = solve_series(draw_case_ii(rng))
+        f = solution.density
+        reg = region_integrals(solution.orbit, f)
         assert reg.c1 + reg.c2 + reg.c3 == pytest.approx(f.integral(), abs=1e-12)
 
 
 def test_case_ii_region_signs(rng):
     for _ in range(30):
-        p = draw_case_ii(rng, a_cap=0.02)
-        reg = region_integrals(turning_orbit(p), density_series(p))
+        solution = solve_series(draw_case_ii(rng, a_cap=0.02))
+        reg = region_integrals(solution.orbit, solution.density)
         assert reg.c1 < 0 and reg.c2 < 0 and reg.c3 < 0 and reg.b < 0
-        assert np.min(normalize(density_series(p)).values) >= 0.0
+        assert np.min(normalize(solution.density).values) >= 0.0
 
 
 def test_case_iii_region_limits():
     # strongly expanding symmetric family: region integrals settle at
     # 1.25, 0, 0.75 with total 2
-    reg = region_integrals(
-        turning_orbit(WParams(4, 4, 1, 1, 1, 1e-4)),
-        density_series(WParams(4, 4, 1, 1, 1, 1e-4)),
-    )
+    solution = solve_series(WParams(4, 4, 1, 1, 1, 1e-4))
+    reg = region_integrals(solution.orbit, solution.density)
     assert reg.c1 == pytest.approx(1.25, rel=0.02)
     assert abs(reg.c2) < 0.02
     assert reg.c3 == pytest.approx(0.75, rel=0.02)
