@@ -31,14 +31,9 @@ EXIT_COMPUTE = 3
 
 
 def _fmt(value) -> str:
-    """Shortest round-trip text for a cell; empty for missing values."""
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    """Shortest round-trip text for a cell (str of a float is its repr);
+    empty for missing values."""
+    return "" if value is None else str(value)
 
 
 def _write_atomic(path: str, text: str) -> None:

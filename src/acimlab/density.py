@@ -59,7 +59,9 @@ class PiecewiseConstantDensity:
         vals = np.asarray(self.values, dtype=float)
         if bp.ndim != 1 or vals.ndim != 1 or bp.size != vals.size + 1:
             raise ParameterError("need n+1 breakpoints for n cell values")
-        if np.any(np.diff(bp) <= 0):
+        if not (np.isfinite(bp).all() and np.isfinite(vals).all()):
+            raise ParameterError("breakpoints and values must be finite")
+        if not np.all(np.diff(bp) > 0):
             raise ParameterError("breakpoints must be strictly increasing")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
@@ -346,8 +348,9 @@ def _orbit_steps(pl_map: PiecewiseLinearMap):
         yield z, cum
 
 
-def _require_series_case(params: WParams) -> None:
-    """Reject parameters outside the regime the series route is built for.
+def _require_series_case(params: WParams) -> str:
+    """The case, "II" or "III", of parameters inside the regime the series
+    route is built for; a ParameterError outside it.
 
     Besides 1/s1 + 1/s2 <= 1 and a > 0, the lifted turning value 1/2 + r*a
     must land on the falling branch 3, i.e. r*a*(s2 + q*a - 1) < 1/2;
@@ -355,7 +358,8 @@ def _require_series_case(params: WParams) -> None:
     holds, and k, the Lambda estimates and the region integrals lose their
     meaning.
     """
-    if classify_case(params.s1, params.s2) == "I":
+    case = classify_case(params.s1, params.s2)
+    if case == "I":
         raise ParameterError("the series route requires 1/s1 + 1/s2 <= 1 (got case I)")
     if not params.a > 0:
         raise ParameterError("the series route requires a > 0")
@@ -365,6 +369,7 @@ def _require_series_case(params: WParams) -> None:
             "the series route requires r*a*(s2 + q*a - 1) < 1/2, so that the "
             f"lifted turning value lands on the falling branch (got {lift_excess!r})"
         )
+    return case
 
 
 def _closed_form_offset(params: WParams) -> tuple[float, float, float]:
@@ -433,10 +438,6 @@ def vartheta(s1: float, s2: float) -> float:
     return 1.0 - ((s1 + s2) / (s1 * s2) + (s1 + s2) / (s2 * s2 * (s1 - 1)))
 
 
-def _series_prefactor(params: WParams) -> float:
-    return 1.0 + (params.s1 + params.p * params.a) / (params.s2 + params.q * params.a)
-
-
 @dataclass(frozen=True)
 class SeriesSolution:
     """The turning orbit, Lambda and the raw (non-normalized) series density
@@ -489,21 +490,22 @@ def solve_series(params: WParams, tail_tol: float = DEFAULT_TAIL_TOL) -> SeriesS
     Each rule stops at the step, and each sum adds in the order, that a
     walk of its own would.
     """
-    _require_series_case(params)
+    case = _require_series_case(params)
     if not (math.isfinite(tail_tol) and tail_tol > 0):
         raise ParameterError(f"tail_tol must be finite and > 0 (got {tail_tol!r})")
     s1, s2, p, q, a = params.s1, params.s2, params.p, params.q, params.a
     mass = 1.0  # ||f||_1 in case II, where the stopping rules are relative to it
-    if classify_case(s1, s2) == "II":
+    if case == "II":
         mass = a * _case_ii_sums(s1, s2, p, q, params.r)[3] / (2 * s1 * s2)
     cutoff, tol = SERIES_CUTOFF * mass, tail_tol * mass
     pl_map = build_w_map(params)
+    beta, fall = pl_map.slopes[1], -pl_map.slopes[2]  # s1 + p*a and s2 + q*a
     gap = pl_map.min_abs_slope - 1.0  # the geometric tail of a term 1/|B_n| is 1/(|B_n| gap)
     threshold = pl_map.breakpoints[1]
     # raises first below the precision floor, where a case-II cutoff can
     # underflow to 0 and the S-series would never meet it
     closed_form_k = _closed_form_k(params, threshold)
-    ratio_12 = -(s2 + q * a) / (s1 + p * a)  # cum-slope ratio of the two sides
+    ratio_12 = -fall / beta  # cum-slope ratio of the two sides
     steps = _orbit_steps(pl_map)
     zs, cums = [], []
     s11 = 0.0
@@ -555,12 +557,12 @@ def solve_series(params: WParams, tail_tol: float = DEFAULT_TAIL_TOL) -> SeriesS
         )
 
     k1 = (2 * k) // 3
-    kappa = (s1 + s2 + p * a + q * a) / ((s1 + p * a) * (s2 + q * a))
-    eta = (s1 + s2 + p * a + q * a) / ((s2 + q * a) ** 2 * (s1 + p * a - 1))
-    lam_low = 1.0 / (1.0 - (kappa + eta * (1.0 - (s1 + p * a) ** -(k1 - 1))))
+    kappa = (s1 + s2 + p * a + q * a) / (beta * fall)
+    eta = (s1 + s2 + p * a + q * a) / (fall**2 * (beta - 1))
+    lam_low = 1.0 / (1.0 - (kappa + eta * (1.0 - beta ** -(k1 - 1))))
     lam_high = 1.0 / (1.0 - (kappa + eta))
 
-    coeff = _series_prefactor(params) * lam
+    coeff = (1.0 + beta / fall) * lam
     bound = abs(coeff)
 
     def below_tol(cum):
@@ -632,7 +634,7 @@ def bounding_densities(solution: SeriesSolution) -> BoundingDensities:
     params, orbit, lam = solution.params, solution.orbit, solution.lam
     beta2 = params.s1 + params.p * params.a
     fall = params.s2 + params.q * params.a
-    coeff = _series_prefactor(params)
+    coeff = 1.0 + beta2 / fall
 
     # g_l = chi_[0, z_1] / beta2 + sum_{j=2}^{k1} chi_[z_j, 1] / (fall * beta2^(j-1)).
     # The weights use Python's float ** int: numpy's float ** int-array rounds
@@ -733,17 +735,14 @@ def transfer_operator_apply(
     contributing value/|slope| on the image interval; the results are summed
     on the merged grid.  Mass is preserved exactly up to rounding.
     """
-    bp = f.breakpoints
+    bp, ends = f.breakpoints, pl_map.breakpoints
     lows, highs, weights = [], [], []
-    for branch in range(1, pl_map.n_branches + 1):
-        d0, d1 = pl_map.branch_domain(branch)
+    for d0, d1, slope, intercept in zip(ends[:-1], ends[1:], pl_map.slopes, pl_map.intercepts):
         # the cells that meet the branch domain: bp[i + 1] > d0 and bp[i] < d1
         i0 = max(bp.searchsorted(d0, side="right") - 1, 0)
         i1 = min(bp.searchsorted(d1), bp.size - 1)
         lefts = np.maximum(bp[i0:i1], d0)
         rights = np.minimum(bp[i0 + 1 : i1 + 1], d1)
-        slope = pl_map.slopes[branch - 1]
-        intercept = pl_map.intercepts[branch - 1]
         y0 = slope * lefts + intercept
         y1 = slope * rights + intercept
         lows.append(np.minimum(y0, y1))

@@ -58,14 +58,13 @@ def build_ulam(
 
     rows, cols, vals = [], [], []
     widths = np.diff(edges)
-    for branch in range(1, pl_map.n_branches + 1):
-        d0, d1 = pl_map.branch_domain(branch)
-        slope = pl_map.slopes[branch - 1]
-        m0, m1 = pl_map.branch_image(branch)
+    ends = pl_map.breakpoints
+    for d0, d1, slope, intercept in zip(ends[:-1], ends[1:], pl_map.slopes, pl_map.intercepts):
+        y0, y1 = slope * d0 + intercept, slope * d1 + intercept
         # the edges strictly inside the branch's image and strictly inside its domain
-        inner = edges[edges.searchsorted(m0, side="right") : edges.searchsorted(m1)]
+        inner = edges[edges.searchsorted(min(y0, y1), side="right") : edges.searchsorted(max(y0, y1))]
         within = edges[edges.searchsorted(d0, side="right") : edges.searchsorted(d1)]
-        preimages = (inner - pl_map.intercepts[branch - 1]) / slope
+        preimages = (inner - intercept) / slope
         cuts = np.concatenate(([d0, d1], within, preimages))
         np.clip(cuts, d0, d1, out=cuts)
         cuts.sort(kind="stable")  # finds the sorted runs the pieces arrive in
@@ -76,7 +75,7 @@ def build_ulam(
         seg_w = np.diff(cuts)
         mids = 0.5 * (cuts[:-1] + cuts[1:])
         src = _bin_of(edges, mids)
-        tgt = _bin_of(edges, slope * mids + pl_map.intercepts[branch - 1])
+        tgt = _bin_of(edges, slope * mids + intercept)
         rows.append(src)
         cols.append(tgt)
         vals.append(seg_w / widths[src])
@@ -255,14 +254,24 @@ def wasserstein1(mu: MeasureRepr, nu: MeasureRepr) -> float:
 
     Equals the integral of |CDF_mu - CDF_nu|; the CDF difference is linear
     between consecutive breakpoints and atom locations, so each segment
-    integrates exactly (splitting at the root when the sign changes).
+    integrates exactly (splitting at the root when the sign changes).  A
+    measure with mass other than 1, an atom outside [0, 1] or of negative
+    weight, or a density that leaves [0, 1] or takes negative values is
+    rejected.
     """
     for name, m in (("mu", mu), ("nu", nu)):
         mass = m.total_mass()
-        if abs(mass - 1.0) > MASS_TOL:
+        if not abs(mass - 1.0) <= MASS_TOL:
             raise ParameterError(
                 f"wasserstein1 requires probability measures ({name} has mass {mass})"
             )
+        if not all(0.0 <= loc <= 1.0 and w >= 0.0 for loc, w in m.atoms):
+            raise ParameterError(f"wasserstein1 requires atoms in [0, 1] of weight >= 0 ({name})")
+        f = m.density
+        if f is not None and not (f.breakpoints[0] >= 0.0 and f.breakpoints[-1] <= 1.0):
+            raise ParameterError(f"wasserstein1 requires a density on [0, 1] ({name})")
+        if f is not None and not f.values.min() >= 0.0:
+            raise ParameterError(f"wasserstein1 requires a density >= 0 ({name})")
     # the grid: 0, 1, every breakpoint and atom location in [0, 1], each once
     parts = [(0.0, 1.0)]
     for m in (mu, nu):

@@ -115,14 +115,6 @@ class PiecewiseLinearMap:
     def branch_value(self, branch: int, x: float) -> float:
         return self.slopes[branch - 1] * x + self.intercepts[branch - 1]
 
-    def branch_domain(self, branch: int) -> tuple[float, float]:
-        return self.breakpoints[branch - 1], self.breakpoints[branch]
-
-    def branch_image(self, branch: int) -> tuple[float, float]:
-        lo, hi = self.branch_domain(branch)
-        y0, y1 = self.branch_value(branch, lo), self.branch_value(branch, hi)
-        return (y0, y1) if y0 <= y1 else (y1, y0)
-
     def __call__(self, x: float) -> float:
         return self.branch_value(self.branch_index(x), x)
 
@@ -141,11 +133,11 @@ def build_w_map(params: WParams) -> PiecewiseLinearMap:
     s1, s2, p, q, r, a = params.s1, params.s2, params.p, params.q, params.r, params.a
     b2 = s1 + p * a
     b3 = -(s2 + q * a)
-    b1 = -2 * (s1 + p * a) / (s1 - 1 + p * a - 2 * r * a)
-    b4 = 2 * (s2 + q * a) / (s2 - 1 + q * a - 2 * r * a)
+    b1 = -2 * b2 / (s1 - 1 + p * a - 2 * r * a)
+    b4 = -2 * b3 / (s2 - 1 + q * a - 2 * r * a)
     lift = 0.5 + r * a
-    x1 = 0.5 - lift / (s1 + p * a)
-    x3 = 0.5 + lift / (s2 + q * a)
+    x1 = 0.5 - lift / b2
+    x3 = 0.5 - lift / b3
     # Intercepts from the point-slope forms: branch 1 passes through (0, 1),
     # branches 2 and 3 through (1/2, lift), branch 4 through (1, 1).
     pl_map = PiecewiseLinearMap(

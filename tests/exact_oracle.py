@@ -31,6 +31,32 @@ def w_branches(s1, s2, p, q, r, a):
     ]
 
 
+def turning_orbit(s1, s2, p, q, r, a):
+    """(orbit, cum_slopes, k) of the turning point 1/2 under W_a, exactly.
+
+    orbit[n - 1] is W_a^n(1/2) for n = 1..k, where k is the first n with
+    W_a^n(1/2) at or below x1, the left end of the rising branch.
+    cum_slopes[n - 1] is the product of n slope factors: the first is rise,
+    taken on the rising branch at 1/2, and each later one the slope of the
+    branch that holds the point, interior breakpoints belonging to the
+    branch on their right.
+    """
+    branches = w_branches(s1, s2, p, q, r, a)
+    x1, rise = branches[1][0], branches[1][2]
+
+    def branch(z):
+        return next(b for b in reversed(branches) if b[0] <= z)
+
+    half = Fraction(1, 2)
+    _, _, slope, intercept = branch(half)
+    orbit, cum_slopes = [slope * half + intercept], [rise]
+    while orbit[-1] > x1:
+        _, _, slope, intercept = branch(orbit[-1])
+        orbit.append(slope * orbit[-1] + intercept)
+        cum_slopes.append(cum_slopes[-1] * slope)
+    return orbit, cum_slopes, len(orbit)
+
+
 def relative_invariance_residual(params, breakpoints, values):
     """||P f - f||_1 / ||f||_1 for the piecewise-constant f on ``breakpoints``.
 

@@ -1,6 +1,7 @@
 """Series density machinery: orbit, Lambda, bounds, integrals, invariance."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -117,6 +118,19 @@ def test_normalize_keeps_h0():
     assert list(normalize(f).values) == list(f.values)
 
 
+def test_density_rejects_non_finite_input():
+    nan, inf = float("nan"), float("inf")
+    for bp, values in (
+        ([0.0, nan, 1.0], [1.0, 1.0]),
+        ([0.0, inf], [1.0]),
+        ([-inf, 0.0], [1.0]),
+        ([0.0, 1.0], [nan]),
+        ([0.0, 0.5, 1.0], [1.0, -inf]),
+    ):
+        with pytest.raises(ParameterError, match="finite"):
+            PiecewiseConstantDensity(np.array(bp), np.array(values))
+
+
 def test_normalize_degenerate():
     f = PiecewiseConstantDensity(np.array([0.0, 1.0]), np.array([0.0]))
     with pytest.raises(ComputationError, match="degenerate"):
@@ -165,6 +179,31 @@ def test_orbit_matches_closed_form(rng):
             for m in range(3, orbit.k + 1):
                 closed = x_l - dist * beta2 ** (m - 2)
                 assert abs(orbit.point(m) - closed) / abs(closed) < 1e-9
+
+
+@pytest.mark.parametrize("m", range(6, 13))
+@pytest.mark.parametrize(
+    "family",
+    [(Fraction(3, 2), 3, 3, 2, 2), (2, 2, 1, 1, 1), (3, 5, Fraction(1, 2), 2, Fraction(3, 2))],
+)
+def test_turning_orbit_matches_the_exact_orbit(family, m):
+    """At dyadic parameters every slope is a float, so the float orbit only
+    rounds its steps: B_n stays within a few ulps, and z_n, whose rounding
+    the map amplifies like B_n, within eps * |B_n|.  Both k agree with the
+    exact k, at points whose exact orbit is farther from the threshold
+    than that rounding."""
+    a = Fraction(1, 2**m)
+    exact_z, exact_b, k = exact_oracle.turning_orbit(*family, a)
+    orbit = solve_series(WParams(*map(float, family), float(a))).orbit
+    eps = 2.0**-52
+    x1 = exact_oracle.w_branches(*family, a)[1][0]
+    for n in (k - 1, k):
+        margin = eps * abs(exact_b[n - 1]) + abs(Fraction(orbit.threshold) - x1)
+        assert abs(exact_z[n - 1] - x1) > margin
+    assert orbit.k == orbit.closed_form_k == k
+    for z, b, z_n, b_n in zip(orbit.orbit, orbit.cum_slopes, exact_z, exact_b, strict=True):
+        assert abs(Fraction(b) - b_n) <= 4 * eps * abs(b_n)
+        assert abs(Fraction(z) - z_n) <= eps * abs(b_n)
 
 
 def test_closed_form_offset_is_measured_from_the_maps_fixed_point(rng):

@@ -314,6 +314,35 @@ def test_wasserstein_rejects_unnormalized():
         wasserstein1(bad, point_mass(0.5))
 
 
+def test_wasserstein_rejects_nan_mass():
+    nan = float("nan")
+    nan_density = PiecewiseConstantDensity._trusted(np.array([0.0, 1.0]), np.array([nan]))
+    for bad in (MeasureRepr(density=nan_density), MeasureRepr(atoms=((0.5, nan),))):
+        with pytest.raises(ParameterError, match="mass nan"):
+            wasserstein1(uniform_measure(), bad)
+
+
+def test_wasserstein_rejects_measures_that_leave_the_unit_interval():
+    # each has mass 1, so only the rules on atoms and densities reject it
+    on_1_2 = PiecewiseConstantDensity(np.array([1.0, 2.0]), np.array([1.0]))
+    signed = PiecewiseConstantDensity(np.array([0.0, 0.5, 1.0]), np.array([3.0, -1.0]))
+    limit = limit_measure(1.5, 3.0, 3.0, 2.0, -2.0)  # r < 0: no W map
+    assert limit.total_mass() == pytest.approx(1.0, abs=1e-12) and limit.atoms[0][1] > 1.0
+    bad = [
+        point_mass(1.5),
+        point_mass(-3.0),
+        point_mass(float("nan")),
+        MeasureRepr(atoms=((0.2, 1.5), (0.4, -0.5))),
+        MeasureRepr(density=on_1_2),
+        MeasureRepr(density=signed),
+        limit,
+    ]
+    for m in bad:
+        for pair in ((m, point_mass(0.5)), (point_mass(0.5), m)):
+            with pytest.raises(ParameterError, match="wasserstein1 requires"):
+                wasserstein1(*pair)
+
+
 def test_distances_treat_a_density_as_zero_outside_its_breakpoints():
     # the uniform density against 2 on [1/4, 3/4]: exact L1 1, exact W1 1/8
     uniform = PiecewiseConstantDensity(np.array([0.0, 1.0]), np.array([1.0]))
