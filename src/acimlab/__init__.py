@@ -41,7 +41,6 @@ _EXPORTS = {
         "asymptotic_ratio_report",
         "counterexample_sequence",
         "ratio_targets",
-        "restricted_turning_map",
         "sweep",
         "uniform_bound_check",
     ),
@@ -62,6 +61,7 @@ _EXPORTS = {
         "classify_case",
         "fixed_points",
         "invariant_interval_check",
+        "restricted_turning_map",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

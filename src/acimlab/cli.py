@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import ComputationError, ParameterError
-from .wmap import WParams, build_w_map, classify_case
+from .wmap import WParams, build_w_map, classify_case, restricted_turning_map
 
 # The computing layers are imported inside the commands that use them, so a
 # call loads only what its subcommand runs: classify and map-eval need
@@ -280,13 +280,14 @@ def _cmd_map_eval(args, config):
 def _density_cells(args, method):
     from .density import h0, normalize, solve_series
 
+    params = _wparams(args)
     if method == "ulam":
         from .ulam import build_ulam, stationary_density
 
-        params = _wparams(args)
-        ulam = build_ulam(build_w_map(params), args.bins, align_half=args.align_half)
-        return stationary_density(ulam)
-    params = _wparams(args)
+        # case I: all of mu_a lives on [x_l, x_r], and the bins go there
+        case_i = classify_case(params.s1, params.s2) == "I"
+        pl_map = restricted_turning_map(params) if case_i else build_w_map(params)
+        return stationary_density(build_ulam(pl_map, args.bins, align_half=args.align_half))
     if params.a == 0:
         return h0(params.s1, params.s2)
     return normalize(solve_series(params, args.tail_tol).density)
@@ -332,16 +333,17 @@ SWEEP_HEADER = [
 
 
 def _family_schedule(args) -> tuple[Family, list[float]]:
-    """The family and schedule of a sweep.  A schedule point the series route
-    cannot take (case II/III) is a configuration error, not an empty row."""
+    """The family and schedule of a sweep.  A schedule point its route cannot
+    take, the series route in case II/III or the restricted map in case I, is
+    a configuration error, not an empty row."""
     from .density import _require_series_case
     from .experiments import Family
 
     schedule = _parse_schedule(args)
     family = Family(args.s1, args.s2, args.p, args.q, args.r)
-    if family.case != "I":
-        for a in schedule:
-            _require_series_case(family.at(a))
+    check = restricted_turning_map if family.case == "I" else _require_series_case
+    for a in schedule:
+        check(family.at(a))
     return family, schedule
 
 

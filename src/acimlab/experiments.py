@@ -17,8 +17,8 @@ import numpy as np
 
 from .density import _case_ii_sums, normalize, region_integrals, solve_series
 from .errors import ComputationError, ParameterError
-from .ulam import MeasureRepr, build_ulam, limit_measure, stationary_density, wasserstein1
-from .wmap import PiecewiseLinearMap, WParams, build_w_map, classify_case, fixed_points
+from .ulam import POWER_TOL, MeasureRepr, build_ulam, limit_measure, stationary_density, wasserstein1
+from .wmap import WParams, classify_case, restricted_turning_map
 
 
 @dataclass(frozen=True)
@@ -51,33 +51,23 @@ class SweepRecord:
     error: str | None = None
 
 
-def restricted_turning_map(params: WParams) -> PiecewiseLinearMap:
-    """The two middle branches restricted to the invariant interval (case I)."""
-    x_l, x_r = fixed_points(params)
-    full = build_w_map(params)
-    return PiecewiseLinearMap(
-        breakpoints=(x_l, 0.5, x_r),
-        slopes=full.slopes[1:3],
-        intercepts=full.intercepts[1:3],
-    )
-
-
 def _sweep_point(params: WParams, case: str, limit: MeasureRepr, bins: int) -> SweepRecord:
     a = params.a
     record = SweepRecord(a=a, case=case)
     if case == "I":
-        ulam = build_ulam(restricted_turning_map(params), bins)
-        h = stationary_density(ulam)
+        h = stationary_density(build_ulam(restricted_turning_map(params), bins))
+        # power iteration leaves rounding-sized mass in transient cells
+        record.essinf_density = float(h.values[h.values * h.widths > POWER_TOL].min())
     else:
         solution = solve_series(params)
         h = normalize(solution.density)
+        record.essinf_density = h.essential_infimum()
         record.k = solution.orbit.k
         if case == "II":
             reg = region_integrals(solution.orbit, solution.density)
             record.c_over_a = (reg.c1 / a, reg.c2 / a, reg.c3 / a, reg.b / a)
     record.d_to_limit = wasserstein1(MeasureRepr(density=h), limit)
     record.sup_density = h.sup()
-    record.essinf_density = h.essential_infimum()
     return record
 
 

@@ -9,6 +9,7 @@ sampling is involved anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .density import PiecewiseConstantDensity, _case_ii_sums, h0
 from .errors import ComputationError, ParameterError
-from .wmap import PiecewiseLinearMap, classify_case
+from .wmap import PiecewiseLinearMap, WParams, classify_case
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -313,6 +314,8 @@ def limit_measure(s1: float, s2: float, p: float, q: float, r: float) -> Measure
     Case I gives the point mass at 1/2; case III the unperturbed density;
     case II mixes them with weights set by the perturbation rates.
     """
+    if not (0 < p < math.inf and 0 < q < math.inf and 0 < r < math.inf):
+        WParams(s1, s2, p, q, r, 0.0)  # raises, naming the rule the rates break
     case = classify_case(s1, s2)
     if case == "I":
         return point_mass(0.5)

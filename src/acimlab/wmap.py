@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .errors import ComputationError, ParameterError
+from .errors import ParameterError
 
 CASE_TOL = 1e-12
 
@@ -188,23 +188,16 @@ def _rising_fixed_point(params: WParams) -> float:
 def fixed_points(params: WParams) -> tuple[float, float]:
     """(x_l, x_r): the branch-2 fixed point and its branch-3 preimage.
 
-    Both collapse to 1/2 as a -> 0.  The returned values are checked against
-    the map itself: W(x_l) = x_l and W(x_r) = x_l to machine accuracy.
+    Both collapse to 1/2 as a -> 0.  W(x_l) = W(x_r) = x_l is an algebraic
+    identity, which holds to machine accuracy.
     """
     s1, s2, p, q, r, a = params.s1, params.s2, params.p, params.q, params.r, params.a
-    x_l = _rising_fixed_point(params)
     x_r = (
         s2 * s1 - s2
         + (2 * r * s1 - q + p * s2 + q * s1) * a
         + (2 * r * p + p * q) * a * a
     ) / (2 * (s1 - 1 + p * a) * (s2 + q * a))
-    w = build_w_map(params)
-    if abs(w(x_l) - x_l) > 1e-12 or abs(w(x_r) - x_l) > 1e-12:
-        raise ComputationError(  # pragma: no cover - algebraic identity
-            "fixed-point residual exceeded machine tolerance",
-            residuals=(w(x_l) - x_l, w(x_r) - x_l),
-        )
-    return x_l, x_r
+    return _rising_fixed_point(params), x_r
 
 
 @dataclass(frozen=True)
@@ -215,22 +208,36 @@ class InvariantIntervalReport:
 
 
 def invariant_interval_check(params: WParams) -> InvariantIntervalReport:
-    """Check W([x_l, x_r]) subseteq [x_l, x_r] for a case-I map.
+    """Whether W maps [x_l, x_r] into itself, for a case-I map.
 
-    The extremes of a piecewise-linear map over an interval occur at the
-    interval endpoints or at interior breakpoints, so those finitely many
-    images decide containment.  Also reports W(1/2) - x_r, expected negative.
+    W sends both ends to x_l and peaks at W(1/2) = 1/2 + r*a, so the interval
+    is invariant exactly when that peak is at most x_r: 1/beta + 1/gamma >= 1
+    for beta = s1 + p*a, gamma = s2 + q*a.  Also reports W(1/2) - x_r.
     """
     if classify_case(params.s1, params.s2) != "I":
         raise ParameterError("invariant_interval_check requires case I (1/s1 + 1/s2 > 1)")
+    a = params.a
     x_l, x_r = fixed_points(params)
-    w = build_w_map(params)
-    candidates = [x_l, x_r] + [b for b in w.breakpoints if x_l < b < x_r]
-    images = [w(x) for x in candidates]
-    slack = 1e-12
-    contained = all(x_l - slack <= y <= x_r + slack for y in images)
     return InvariantIntervalReport(
-        contained=contained,
-        sign_wa_half_minus_xr=w(0.5) - x_r,
+        contained=1 / (params.s1 + params.p * a) + 1 / (params.s2 + params.q * a) >= 1,
+        sign_wa_half_minus_xr=0.5 + params.r * a - x_r,
         interval=(x_l, x_r),
     )
+
+
+def restricted_turning_map(params: WParams) -> PiecewiseLinearMap:
+    """The two middle branches of W on [x_l, x_r]; a ParameterError unless
+    that interval is invariant (case I) and wider than the point 1/2 (a > 0)."""
+    report = invariant_interval_check(params)
+    if not report.contained:
+        raise ParameterError(
+            f"[x_l, x_r] is not invariant at a = {params.a}: W(1/2) - x_r = "
+            f"{report.sign_wa_half_minus_xr} > 0 (requires 1/(s1 + p*a) + 1/(s2 + q*a) >= 1)"
+        )
+    x_l, x_r = report.interval
+    if not x_l < 0.5 < x_r:
+        raise ParameterError(
+            f"[x_l, x_r] is the single point 1/2 at a = {params.a} (a = 0 or below float64's reach)"
+        )
+    full = build_w_map(params)
+    return PiecewiseLinearMap((x_l, 0.5, x_r), full.slopes[1:3], full.intercepts[1:3])

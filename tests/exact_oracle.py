@@ -31,6 +31,21 @@ def w_branches(s1, s2, p, q, r, a):
     ]
 
 
+def invariant_interval(s1, s2, p, q, r, a):
+    """(x_l, x_r, invariant) for W_a, exactly.
+
+    x_l is the fixed point of the rising branch, x_r its preimage on the
+    falling branch, and invariant whether W_a maps [x_l, x_r] into itself.
+    W_a is linear on [x_l, 1/2] and on [1/2, x_r], so the images of x_l, 1/2
+    and x_r decide it.
+    """
+    _, (_, half, rise, c_rise), (_, _, fall, c_fall), _ = w_branches(s1, s2, p, q, r, a)
+    x_l = c_rise / (1 - rise)
+    x_r = (x_l - c_fall) / fall
+    images = (rise * x_l + c_rise, rise * half + c_rise, fall * x_r + c_fall)
+    return x_l, x_r, all(x_l <= y <= x_r for y in images)
+
+
 def turning_orbit(s1, s2, p, q, r, a):
     """(orbit, cum_slopes, k) of the turning point 1/2 under W_a, exactly.
 

@@ -28,7 +28,6 @@ from acimlab.experiments import (
     Family,
     counterexample_sequence,
     ratio_targets,
-    restricted_turning_map,
     uniform_bound_check,
 )
 from acimlab.ulam import (
@@ -39,7 +38,7 @@ from acimlab.ulam import (
     stationary_density,
     wasserstein1,
 )
-from acimlab.wmap import WParams, build_w_map, invariant_interval_check
+from acimlab.wmap import WParams, build_w_map, invariant_interval_check, restricted_turning_map
 from conftest import draw_case_ii, draw_case_iii
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"

@@ -5,12 +5,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import acimlab.cli as cli
 import acimlab.density
 import acimlab.ulam
 from acimlab.errors import ComputationError
+from acimlab.wmap import WParams, fixed_points
+from conftest import draw_case_i
 
 DENSITY_EXAMPLE = [
     "density", "--s1", "2", "--s2", "2", "--a", "0",
@@ -284,6 +287,49 @@ def test_case_i_sweep_needs_two_bins(tmp_path, capsys):
     case_iii = ["sweep", "--s1", "3", "--s2", "3", "--a-schedule", "0.01", "--bins", "1"]
     assert cli.main([*case_iii, "--output", str(out)]) == 0
     assert out.exists()
+
+
+def _family_flags(params):
+    return [f"--{name}={getattr(params, name)!r}" for name in ("s1", "s2", "p", "q", "r", "a")]
+
+
+def test_case_i_ulam_density_keeps_its_mass_on_the_invariant_interval(tmp_path, rng):
+    # on the full map, (1.5, 2, 1, 1, 1) at a = 1e-4 put 0.0023 of it there
+    cases = [(WParams(1.5, 2.0, 1.0, 1.0, 1.0, 1e-4), 1024)]
+    cases += [(draw_case_i(rng), bins) for bins in (2, 3, 64, 1024, 4096)]
+    out = tmp_path / "d.csv"
+    for params, bins in cases:
+        for align in ([], ["--align-half"]):
+            argv = ["density", *_family_flags(params), "--method", "ulam", "--bins", str(bins)]
+            assert cli.main([*argv, *align, "--output", str(out)]) == 0
+            left, right, value = np.loadtxt(out, delimiter=",", comments="#", skiprows=3).T
+            x_l, x_r = fixed_points(params)
+            inside = (left >= x_l) & (right <= x_r)
+            assert abs((value * (right - left))[inside].sum() - 1.0) <= 1e-12
+            assert not value[~inside].any()
+
+
+@pytest.mark.parametrize("a", ["0.05", "0.03", "0.01"])
+def test_non_invariant_case_i_points_exit_2(tmp_path, capsys, a):
+    # W(1/2) - x_r = 5.6e-3, 1.8e-3 and 2.3e-5 for this family
+    family = ["--s1", "1.9", "--s2", "2.05", "--p", "3", "--q", "3", "--r", "1"]
+    out = tmp_path / "x.csv"
+    density = ["density", *family, "--a", a, "--method", "ulam", "--bins", "64"]
+    sweep = ["sweep", *family, "--a-schedule", f"{a},0.001", "--bins", "64"]
+    for argv in (density, sweep):
+        assert cli.main([*argv, "--output", str(out)]) == 2
+        assert "is not invariant" in capsys.readouterr().err
+        assert not out.exists()
+    # at a = 1e-3 the interval is invariant and the row is written
+    assert cli.main(["sweep", *family, "--a-schedule", "0.001", "--bins", "64", "--output", str(out)]) == 0
+    assert out.exists()
+
+
+def test_case_i_ulam_density_at_a_zero_exits_2(tmp_path, capsys):
+    argv = ["density", "--s1", "1.5", "--s2", "2", "--a", "0", "--method", "ulam",
+            "--output", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == 2
+    assert "single point 1/2" in capsys.readouterr().err
 
 
 def test_ulam_non_convergence_exits_3(tmp_path, monkeypatch, capsys):

@@ -24,6 +24,7 @@ from acimlab.density import (
     vartheta,
 )
 from acimlab.errors import ComputationError, ParameterError
+from acimlab.ulam import limit_measure
 from acimlab.wmap import WParams, build_w_map, fixed_points
 import exact_oracle
 from conftest import draw_any_case, draw_case_ii, draw_case_iii, valid_a_max
@@ -347,6 +348,29 @@ def test_case_ii_series_density_keeps_its_relative_invariance(family, a):
     f = solve_series(WParams(*family, a)).density
     residual = exact_oracle.relative_invariance_residual((*family, a), f.breakpoints, f.values)
     assert residual <= 2 * density.DEFAULT_TAIL_TOL
+
+
+@pytest.mark.parametrize(
+    "family", [(1.5, 3.0, 3.0, 2.0, 2.0), (2.0, 2.0, 1.0, 1.0, 1.0), (1.25, 5.0, 1.0, 2.0, 1.0)]
+)
+def test_case_ii_peak_is_a_plateau_carrying_the_limit_atom(family):
+    """On J_a = [1/2 - r*a/(s1 - 1), 1/2 + r*a] the normalized density is
+    flat to first order and carries the limit's atom weight atom/den, so its
+    mass tends to atom/den and sup * a to (atom/den)*(s1 - 1)/(r*s1).  The
+    relative gaps shrink about sevenfold per decade (1.8e-2 at a = 1e-3 for
+    the first family, 1.2e-5 to 5.0e-5 at a = 1e-6)."""
+    s1, s2, p, q, r = family
+    atom = limit_measure(*family).atoms[0][1]
+    height = atom * (s1 - 1) / (r * s1)
+    mass_gaps, sup_gaps = [], []
+    for a in (1e-3, 1e-4, 1e-5, 1e-6):
+        h = normalize(solve_series(WParams(*family, a)).density)
+        mass = h.integral_over(0.5 - r * a / (s1 - 1), 0.5 + r * a)
+        mass_gaps.append(abs(mass - atom) / atom)
+        sup_gaps.append(abs(h.sup() * a - height) / height)
+    for gaps in (mass_gaps, sup_gaps):
+        assert all(b < a for a, b in zip(gaps, gaps[1:])), gaps
+        assert gaps[-1] < 1e-4
 
 
 def test_transfer_operator_fixes_h0():

@@ -5,17 +5,18 @@ import pytest
 
 import acimlab.density as density
 import acimlab.experiments as experiments
+import acimlab.wmap as wmap
 from acimlab.errors import ComputationError, ParameterError
 from acimlab.experiments import (
     Family,
     asymptotic_ratio_report,
     counterexample_sequence,
     ratio_targets,
-    restricted_turning_map,
     sweep,
     uniform_bound_check,
 )
-from acimlab.wmap import fixed_points
+from acimlab.ulam import build_ulam, stationary_density
+from acimlab.wmap import fixed_points, restricted_turning_map
 
 FIG_FAMILY = Family(1.5, 3.0, 3.0, 2.0, 2.0)
 CASE_I_FAMILY = Family(4 / 3, 5 / 2, 3.0, 2.0, 2.0)
@@ -53,6 +54,43 @@ def test_sweep_periodic_case_i_chain():
     # the measure lives on [x_l, x_r], so it is this close to the atom at 1/2
     x_l, x_r = fixed_points(family.at(0.0053))
     assert 0.0 < record.d_to_limit <= max(0.5 - x_l, x_r - 0.5)
+
+
+@pytest.mark.parametrize(
+    "family, a",
+    [
+        ((1.5, 2.0, 1.0, 1.0, 1.0), 1e-2),
+        ((1.5, 2.0, 1.0, 1.0, 1.0), 1e-4),
+        ((1.3, 1.6, 1.0, 1.0, 1.0), 1e-3),
+        ((1.9, 1.9, 1.0, 1.0, 1.0), 1e-3),
+        ((1.2, 2.5, 1.0, 1.0, 1.0), 1e-3),
+        ((1.883, 1.214, 1.605, 1.036, 1.886), 0.0053),  # the periodic chain
+    ],
+)
+def test_case_i_essinf_ignores_transient_cells(family, a):
+    # power iteration leaves up to 7.9e-9 of density (under 1e-15 of mass) in
+    # cells off the chain's support; the reported infimum skips them
+    (record,) = sweep(Family(*family), [a])
+    h = stationary_density(build_ulam(restricted_turning_map(Family(*family).at(a)), 4096))
+    mass = h.values * h.widths
+    assert mass[h.values < record.essinf_density].sum() < 1e-11
+    assert record.essinf_density in h.values
+    # at least 1/200 of the mean density on [x_l, x_r]; 0.007 of it for the periodic chain
+    x_l, x_r = fixed_points(Family(*family).at(a))
+    assert record.essinf_density * (x_r - x_l) > 5e-3
+
+
+def test_sweep_records_non_invariant_case_i_points_as_errors():
+    # W(1/2) - x_r = 5.6e-3, 1.8e-3 and 2.3e-5: the interval is not invariant
+    records = sweep(Family(1.9, 2.05, 3.0, 3.0, 1.0), [0.05, 0.03, 0.01, 1e-3], bins=2**10)
+    for record in records[:3]:
+        assert record.error is not None and "not invariant" in record.error
+        assert record.d_to_limit is None and record.essinf_density is None
+    assert records[3].error is None and records[3].d_to_limit > 0
+
+
+def test_restricted_turning_map_still_resolves_in_experiments():
+    assert experiments.restricted_turning_map is wmap.restricted_turning_map
 
 
 def test_sweep_case_iii_l1_to_limit():

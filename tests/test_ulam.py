@@ -16,7 +16,6 @@ from acimlab.density import (
     refine_pair,
 )
 from acimlab.errors import ComputationError, ParameterError
-from acimlab.experiments import restricted_turning_map
 from acimlab.ulam import (
     MeasureRepr,
     build_ulam,
@@ -25,7 +24,7 @@ from acimlab.ulam import (
     stationary_density,
     wasserstein1,
 )
-from acimlab.wmap import PiecewiseLinearMap, WParams, build_w_map
+from acimlab.wmap import PiecewiseLinearMap, WParams, build_w_map, restricted_turning_map
 from conftest import draw_any_case, draw_case_i, draw_case_ii, draw_case_iii
 
 
@@ -322,11 +321,28 @@ def test_wasserstein_rejects_nan_mass():
             wasserstein1(uniform_measure(), bad)
 
 
+@pytest.mark.parametrize(
+    "rates, fragment",
+    [
+        ((3.0, 2.0, -2.0), "r > 0"),
+        ((3.0, 2.0, float("nan")), "finite r"),
+        ((0.0, 2.0, 2.0), "p > 0"),
+        ((3.0, float("inf"), 2.0), "finite q"),
+        ((3.0, -1.0, 2.0), "q > 0"),
+    ],
+)
+def test_limit_measure_rejects_invalid_rates(rates, fragment):
+    # r = -2 used to give an atom of weight 2.84 and negative density values
+    with pytest.raises(ParameterError, match=fragment):
+        limit_measure(1.5, 3.0, *rates)
+
+
 def test_wasserstein_rejects_measures_that_leave_the_unit_interval():
     # each has mass 1, so only the rules on atoms and densities reject it
     on_1_2 = PiecewiseConstantDensity(np.array([1.0, 2.0]), np.array([1.0]))
     signed = PiecewiseConstantDensity(np.array([0.0, 0.5, 1.0]), np.array([3.0, -1.0]))
-    limit = limit_measure(1.5, 3.0, 3.0, 2.0, -2.0)  # r < 0: no W map
+    # mass 1, but an atom of weight above 1 and a negative density part
+    limit = MeasureRepr(density=h0(1.5, 3.0).scale(-1.84), atoms=((0.5, 2.84),))
     assert limit.total_mass() == pytest.approx(1.0, abs=1e-12) and limit.atoms[0][1] > 1.0
     bad = [
         point_mass(1.5),

@@ -21,9 +21,8 @@ import json
 from pathlib import Path
 
 from acimlab.density import h0, l1_distance, normalize, solve_series, transfer_operator_apply
-from acimlab.experiments import restricted_turning_map
 from acimlab.ulam import build_ulam, stationary_density
-from acimlab.wmap import WParams, build_w_map
+from acimlab.wmap import WParams, build_w_map, restricted_turning_map
 
 GOLDEN = Path(__file__).parent / "goldens" / "ulam_bits.json"
 W_FAMILIES = ((1.5, 3.0, 3.0, 2.0, 2.0), (2.5, 4.0, 1.0, 1.0, 1.0))

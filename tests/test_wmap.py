@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import acimlab.wmap as wmap
+import exact_oracle
 from acimlab.errors import ParameterError
 from acimlab.wmap import (
     WParams,
@@ -11,8 +13,9 @@ from acimlab.wmap import (
     classify_case,
     fixed_points,
     invariant_interval_check,
+    restricted_turning_map,
 )
-from conftest import draw_any_case, draw_case_i
+from conftest import draw_any_case, draw_case_i, draw_rates, valid_a_max
 
 FIG_PARAMS = WParams(s1=1.5, s2=3.0, p=3.0, q=2.0, r=2.0, a=0.05)
 
@@ -204,3 +207,81 @@ def test_case_i_containment_random(rng):
         report = invariant_interval_check(params)
         assert report.contained
         assert report.sign_wa_half_minus_xr < 0
+
+
+# ---------------------------------------------------------------------------
+# the invariant interval: a closed-form rule, checked exactly
+
+CONTAINMENT_FAMILIES = [(1.5, 2.0, 1.0, 1.0, 1.0), (1.9, 2.05, 3.0, 3.0, 1.0)]
+
+
+def a_at_margin(s1, s2, p, q, margin):
+    """The a where 1/(s1 + p*a) + 1/(s2 + q*a) - 1 falls to margin, by bisection."""
+    lo, hi = 0.0, 0.4
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo
+        if 1 / (s1 + p * mid) + 1 / (s2 + q * mid) - 1 > margin:
+            lo = mid
+        else:
+            hi = mid
+
+
+@pytest.mark.parametrize("margin", [1e-3, -1e-3, 1e-6, -1e-6, 1e-9, -1e-9])
+@pytest.mark.parametrize("family", CONTAINMENT_FAMILIES)
+def test_invariant_interval_matches_the_exact_oracle(family, margin):
+    s1, s2, p, q, r = family
+    a = a_at_margin(s1, s2, p, q, margin)
+    s1_, s2_, p_, q_, r_, a_ = map(Fraction, (*family, a))
+    exact_margin = 1 / (s1_ + p_ * a_) + 1 / (s2_ + q_ * a_) - 1
+    assert abs(exact_margin / Fraction(margin) - 1) < 1e-6  # a sits at its margin
+    x_l, x_r, invariant = exact_oracle.invariant_interval(*family, a)
+    assert invariant == (margin > 0)
+
+    params = WParams(*family, a)
+    report = invariant_interval_check(params)
+    assert report.contained == invariant
+    assert abs(report.interval[0] - x_l) <= 4e-16 and abs(report.interval[1] - x_r) <= 4e-16
+    exact_sign = Fraction(1, 2) + r_ * a_ - x_r
+    assert (report.sign_wa_half_minus_xr < 0) == (exact_sign < 0)
+    assert abs(report.sign_wa_half_minus_xr - exact_sign) <= 1e-15
+    if invariant:
+        tent = restricted_turning_map(params)
+        assert tent.domain == report.interval
+        for x in (*tent.domain, 0.5):
+            assert x_l - 1e-15 <= tent(x) <= x_r + 1e-15
+    else:
+        with pytest.raises(ParameterError, match="not invariant"):
+            restricted_turning_map(params)
+
+
+def test_invariance_rule_agrees_with_the_exact_oracle_on_random_draws(rng):
+    # a case-I family over its whole valid range of a, on both sides of the rule
+    seen = set()
+    for _ in range(300):
+        s1 = float(rng.uniform(1.1, 3.0))
+        s2 = float(rng.uniform(1.1, s1 / (s1 - 1)))
+        p, q, r = draw_rates(rng)
+        a = float(rng.uniform(0.0, 0.99 * valid_a_max(s1, s2, p, q, r)))
+        *_, invariant = exact_oracle.invariant_interval(s1, s2, p, q, r, a)
+        assert invariant_interval_check(WParams(s1, s2, p, q, r, a)).contained == invariant
+        seen.add(invariant)
+    assert seen == {True, False}
+
+
+def test_restricted_turning_map_needs_an_interval():
+    with pytest.raises(ParameterError, match="single point 1/2"):
+        restricted_turning_map(WParams(1.5, 2.0, 1.0, 1.0, 1.0, 0.0))
+    with pytest.raises(ParameterError, match="case I"):
+        restricted_turning_map(FIG_PARAMS)
+
+
+def test_interval_closed_forms_build_and_evaluate_no_map(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a map was built or evaluated")
+
+    monkeypatch.setattr(wmap, "build_w_map", forbidden)
+    monkeypatch.setattr(wmap.PiecewiseLinearMap, "__call__", forbidden)
+    params = WParams(4 / 3, 5 / 2, 3.0, 2.0, 2.0, 0.05)
+    assert fixed_points(params) == invariant_interval_check(params).interval
