@@ -92,7 +92,10 @@ def _parse_schedule(args) -> list[float]:
             items = [s for s in args.a_schedule.split(",") if s.strip()]
         if not items:
             raise ParameterError("a_schedule is empty")
-        return [float(s) for s in items]
+        try:
+            return [float(s) for s in items]
+        except ValueError as exc:  # a string entry; a config list holds only numbers
+            raise ParameterError(f"a_schedule: {exc}") from None
     if args.a_start is None or args.a_stop is None or args.a_points is None:
         raise ParameterError(
             "a_schedule: pass --a-schedule or all of --a-start/--a-stop/--a-points"

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
 
@@ -125,6 +125,16 @@ class PiecewiseConstantDensity:
         return PiecewiseConstantDensity(bp, vals)
 
 
+def _distinct(points: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    """The sorted, finite points without each point within tol of its
+    predecessor: runs of nearly identical points keep their first.  With
+    tol = 0 that drops exact repeats, since b - a > 0 exactly when b != a."""
+    keep = np.empty(points.size, dtype=bool)
+    keep[0] = True
+    np.greater(points[1:] - points[:-1], tol, out=keep[1:])
+    return points[keep]
+
+
 def _accumulate(
     lo: np.ndarray,
     hi: np.ndarray,
@@ -160,11 +170,7 @@ def _accumulate(
     pts[0], pts[1] = d0, d1
     pts[2:] = ends
     pts.sort()
-    # merge clusters of nearly identical points, keeping the first of each
-    keep = np.empty(pts.size, dtype=bool)
-    keep[0] = True
-    np.greater(pts[1:] - pts[:-1], MERGE_TOL, out=keep[1:])
-    bp = pts[keep]
+    bp = _distinct(pts, MERGE_TOL)
     if bp[-1] < d1:
         bp[-1] = d1
     n_cells = bp.size - 1
@@ -330,21 +336,14 @@ def _orbit_steps(pl_map: PiecewiseLinearMap):
 
     The first slope factor is the rising-branch slope (two-sided convention
     at the turning point); afterwards the branch actually containing the
-    current point decides each factor.  Every z_n lies in the map's domain,
-    so the branch lookup needs no domain check.
+    current point decides each factor.
     """
-    starts, slopes, intercepts = pl_map.breakpoints[:-1], pl_map.slopes, pl_map.intercepts
-    lo, hi = pl_map.domain
+    slopes = pl_map.slopes
     z = pl_map(0.5)
     cum = slopes[1]
     yield z, cum
-    while True:
-        i = bisect_right(starts, z) - 1  # the last branch also takes z = hi
-        slope = slopes[i]
-        cum *= slope
-        z = slope * z + intercepts[i]
-        # images can leave the interval by an ulp; keep the walk well-defined
-        z = lo if z < lo else hi if z > hi else z
+    for i, z in pl_map.steps(z):
+        cum *= slopes[i]
         yield z, cum
 
 

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .density import PiecewiseConstantDensity, _case_ii_sums, h0
+from .density import PiecewiseConstantDensity, _case_ii_sums, _distinct, h0
 from .errors import ComputationError, ParameterError
 from .wmap import PiecewiseLinearMap, WParams, classify_case
 
@@ -69,10 +69,7 @@ def build_ulam(
         cuts = np.concatenate(([d0, d1], within, preimages))
         np.clip(cuts, d0, d1, out=cuts)
         cuts.sort(kind="stable")  # finds the sorted runs the pieces arrive in
-        distinct = np.empty(cuts.size, dtype=bool)
-        distinct[0] = True
-        np.not_equal(cuts[1:], cuts[:-1], out=distinct[1:])
-        cuts = cuts[distinct]
+        cuts = _distinct(cuts)
         seg_w = np.diff(cuts)
         mids = 0.5 * (cuts[:-1] + cuts[1:])
         src = _bin_of(edges, mids)
@@ -282,10 +279,7 @@ def wasserstein1(mu: MeasureRepr, nu: MeasureRepr) -> float:
     points = np.concatenate(parts)
     points.sort(kind="stable")
     points = points[points.searchsorted(0.0) : points.searchsorted(1.0, side="right")]
-    keep = np.empty(points.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(points[1:], points[:-1], out=keep[1:])
-    grid = points[keep]
+    grid = _distinct(points)
     mids = 0.5 * (grid[:-1] + grid[1:])
     seg_w = grid[1:] - grid[:-1]
 

@@ -13,6 +13,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from numbers import Rational
 
 from .errors import ParameterError
@@ -39,7 +40,7 @@ class WParams:
     def __post_init__(self):
         for name in ("s1", "s2", "p", "q", "r", "a"):
             value = getattr(self, name)
-            if not (isinstance(value, Rational) or math.isfinite(value)):
+            if not -math.inf < value < math.inf:
                 raise ParameterError(f"invalid parameters: require finite {name} (got {value})")
         checks = [
             (self.s1 > 1, "s1 > 1"),
@@ -75,8 +76,8 @@ class WParams:
 class PiecewiseLinearMap:
     """A piecewise-linear map given by breakpoints, branch slopes and intercepts.
 
-    Branch i (1-based) acts on [breakpoints[i-1], breakpoints[i]) as
-    x -> slopes[i-1]*x + intercepts[i-1]; the last branch includes its right
+    Branch i (0-based) acts on [breakpoints[i], breakpoints[i+1]) as
+    x -> slopes[i]*x + intercepts[i]; the last branch includes its right
     endpoint.  Interior breakpoints belong to the branch on their right, so
     evaluation is a function even at the turning point.
     """
@@ -93,10 +94,6 @@ class PiecewiseLinearMap:
             raise ParameterError("breakpoints must be strictly increasing")
 
     @property
-    def n_branches(self) -> int:
-        return len(self.slopes)
-
-    @property
     def domain(self) -> tuple[float, float]:
         return self.breakpoints[0], self.breakpoints[-1]
 
@@ -104,28 +101,31 @@ class PiecewiseLinearMap:
     def min_abs_slope(self) -> float:
         return min(map(abs, self.slopes))
 
-    def branch_index(self, x: float) -> int:
-        """1-based index of the branch whose half-open interval contains x."""
+    def steps(self, x: float):
+        """Yield (i, W(x)), (j, W^2(x)), ...: each image with the 0-based branch
+        that produced it, the one whose half-open interval holds the point
+        before.  Images can leave the domain by an ulp, so each is clamped into
+        it; x itself must lie in the domain."""
+        starts, slopes, intercepts = self.breakpoints[:-1], self.slopes, self.intercepts
         lo, hi = self.domain
-        if not lo <= x <= hi:
-            raise ParameterError(f"x = {x} outside the map domain [{lo}, {hi}]")
-        i = bisect_right(self.breakpoints, x) - 1
-        return min(max(i, 0), self.n_branches - 1) + 1
-
-    def branch_value(self, branch: int, x: float) -> float:
-        return self.slopes[branch - 1] * x + self.intercepts[branch - 1]
+        while True:
+            i = bisect_right(starts, x) - 1  # the last branch also takes x = hi
+            x = slopes[i] * x + intercepts[i]
+            x = lo if x < lo else hi if x > hi else x
+            yield i, x
 
     def __call__(self, x: float) -> float:
-        return self.branch_value(self.branch_index(x), x)
+        return self.iterate(x, 1)[1]
 
     def iterate(self, x: float, n: int) -> list[float]:
         """Orbit [x, W(x), ..., W^n(x)] as a list of length n + 1."""
+        lo, hi = self.domain
+        if not lo <= x <= hi:
+            raise ParameterError(f"x = {x} outside the map domain [{lo}, {hi}]")
         if n < 0:
             raise ParameterError("iteration count must be >= 0")
-        orbit = [float(x)]
-        for _ in range(n):
-            orbit.append(self(orbit[-1]))
-        return orbit
+        x = float(x)
+        return [x, *(y for _, y in islice(self.steps(x), n))]
 
 
 def build_w_map(params: WParams) -> PiecewiseLinearMap:
@@ -140,15 +140,15 @@ def build_w_map(params: WParams) -> PiecewiseLinearMap:
     x3 = 0.5 - lift / b3
     # Intercepts from the point-slope forms: branch 1 passes through (0, 1),
     # branches 2 and 3 through (1/2, lift), branch 4 through (1, 1).
-    pl_map = PiecewiseLinearMap(
-        breakpoints=(0.0, x1, 0.5, x3, 1.0),
-        slopes=(b1, b2, b3, b4),
-        intercepts=(1.0, lift - b2 * 0.5, lift - b3 * 0.5, 1.0 - b4),
-    )
+    slopes = (b1, b2, b3, b4)
+    intercepts = (1.0, lift - b2 * 0.5, lift - b3 * 0.5, 1.0 - b4)
+    pl_map = PiecewiseLinearMap((0.0, x1, 0.5, x3, 1.0), slopes, intercepts)
     # Range validity at the five grid points (images are 1, 0, lift, 0, 1);
-    # each belongs to the branch on its right, and 1 to the last branch.
-    for x, branch in zip(pl_map.breakpoints, (1, 2, 3, 4, 4)):
-        y = pl_map.branch_value(branch, x)
+    # each belongs to the branch on its right, and 1 to the last branch.  The
+    # raw branch formula, not the clamped rule, so a blown-up slope shows.
+    ends = zip(pl_map.breakpoints, slopes + slopes[-1:], intercepts + intercepts[-1:])
+    for x, slope, intercept in ends:
+        y = slope * x + intercept
         if not -1e-12 <= y <= 1 + 1e-12:
             raise ParameterError(
                 f"invalid parameters: breakpoint image W({x}) = {y} leaves [0, 1]"

@@ -553,6 +553,41 @@ def test_map_eval_without_steps_prints_the_image(tmp_path, run_cli):
     assert result.stdout == run_cli([*point, "--steps", "1"], tmp_path).stdout.split("\n", 1)[1]
 
 
+# x = x3, the third breakpoint, whose raw branch-3 image is -4.4e-16
+MAP_EVAL_AT_X3 = [
+    "map-eval", "--s1", "1.8489256569912653", "--s2", "1.8030185051513434",
+    "--p", "2.0149396229530248", "--q", "2.0884272710618808", "--r", "1.0680986027784949",
+    "--a", "0.007654460089050646", "--x", "0.7793702694280382",
+]
+
+
+@pytest.mark.parametrize("steps", [[], ["--steps", "2"]])
+def test_map_eval_at_a_breakpoint_stays_in_the_unit_interval(tmp_path, run_cli, steps):
+    result = run_cli([*MAP_EVAL_AT_X3, *steps], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    values = [float(v) for v in result.stdout.split()]
+    assert len(values) == (3 if steps else 1)
+    assert all(0.0 <= v <= 1.0 for v in values)
+
+
+@pytest.mark.parametrize(
+    "config, args, entry",
+    [
+        (None, ["sweep", "--a-schedule", "0.01,abc"], "'abc'"),
+        (None, ["ratios", "--a-schedule", "0.01,1e-3x"], "'1e-3x'"),
+        ({"a_schedule": "0.01,abc"}, ["sweep"], "'abc'"),
+    ],
+)
+def test_non_numeric_schedule_entry_exits_2(tmp_path, run_cli, config, args, entry):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        args = ["--config", "cfg.json", *args]
+    result = run_cli([*args, "--s1", "1.5", "--s2", "3", "--output", "x.csv"], tmp_path)
+    _rejected(result, f"a_schedule: could not convert string to float: {entry}")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_series_density_at_a_zero_is_h0(tmp_path, run_cli):
     result = run_cli(["density", "--s1", "2", "--s2", "2", "--a", "0", "--output", "h0.csv"], tmp_path)
     assert result.returncode == 0, result.stderr

@@ -68,11 +68,44 @@ def test_iterate_small_lift_family():
 
 
 def test_branch_index():
+    # steps reports the 0-based branch of the point each image comes from
     w = build_w_map(FIG_PARAMS)
-    assert w.branch_index(0.01) == 1
-    assert w.branch_index(0.4) == 2
-    assert w.branch_index(0.55) == 3
-    assert w.branch_index(0.9) == 4
+    assert next(w.steps(0.01))[0] == 0
+    assert next(w.steps(0.4))[0] == 1
+    assert next(w.steps(0.55))[0] == 2
+    assert next(w.steps(0.9))[0] == 3
+    # interior breakpoints belong to the branch on their right, 1 to the last
+    assert [next(w.steps(x))[0] for x in w.breakpoints] == [0, 1, 2, 3, 3]
+
+
+def _raw_images(w, x):
+    """slope*x + intercept over every branch whose closed interval holds x."""
+    bp, slopes, intercepts = w.breakpoints, w.slopes, w.intercepts
+    return [slopes[i] * x + intercepts[i] for i in range(len(slopes)) if bp[i] <= x <= bp[i + 1]]
+
+
+def test_map_rule_stays_in_the_domain(rng):
+    # Unclamped, an image of x1 or x3 could land an ulp below 0, and
+    # iterate(x, 2) then raised on its own image in about 1 case of 5.
+    for _ in range(20000):
+        w = build_w_map(draw_any_case(rng))
+        for x in (w.breakpoints[1], 0.5, w.breakpoints[3]):
+            orbit = w.iterate(x, 2)
+            assert orbit[1] == w(x)
+            assert all(0.0 <= y <= 1.0 for y in orbit)
+            for z, y in zip(orbit, orbit[1:]):
+                assert all(abs(y - raw) <= 1e-12 for raw in _raw_images(w, z))
+
+
+def test_restricted_map_rule_stays_in_its_interval(rng):
+    for _ in range(300):
+        w = restricted_turning_map(draw_case_i(rng))
+        lo, hi = w.domain
+        for x in (lo, 0.5, hi):
+            orbit = w.iterate(x, 3)
+            assert all(lo <= y <= hi for y in orbit)
+            for z, y in zip(orbit, orbit[1:]):
+                assert all(abs(y - raw) <= 1e-12 for raw in _raw_images(w, z))
 
 
 def test_classify_case():
@@ -194,10 +227,10 @@ def test_continuity_at_breakpoints(rng):
     for _ in range(1000):
         params = draw_any_case(rng)
         w = build_w_map(params)
-        for branch in range(1, w.n_branches):
-            x = w.breakpoints[branch]
-            left = w.branch_value(branch, x)
-            right = w.branch_value(branch + 1, x)
+        for i, x in enumerate(w.breakpoints[1:-1]):
+            left = w.slopes[i] * x + w.intercepts[i]
+            branch, right = next(w.steps(x))
+            assert branch == i + 1
             assert abs(left - right) < 1e-12
 
 
