@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -22,7 +23,7 @@ from .wmap import WParams, build_w_map, classify_case, restricted_turning_map
 
 # The computing layers are imported inside the commands that use them, so a
 # call loads only what its subcommand runs: classify and map-eval need
-# neither numpy nor scipy, and only the Ulam route loads scipy.
+# neither numpy nor scipy, and only the Ulam route past 2048 bins loads scipy.
 if TYPE_CHECKING:
     from .experiments import Family
 
@@ -275,9 +276,13 @@ def _cmd_map_eval(args, config):
     w = build_w_map(_wparams(args))
     if args.steps == 0:
         print(repr(float(w(args.x))))
-    else:
-        for value in w.iterate(args.x, args.steps):
-            print(repr(float(value)))
+        return
+    # iterate's checks of x and of a negative count; the orbit itself is
+    # printed as it is walked, never held
+    (x,) = w.iterate(args.x, min(args.steps, 0))
+    print(repr(x))
+    for _, value in islice(w.steps(x), args.steps):
+        print(repr(float(value)))
 
 
 def _density_cells(args, method):

@@ -135,6 +135,13 @@ def _distinct(points: np.ndarray, tol: float = 0.0) -> np.ndarray:
     return points[keep]
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The dot product of two vectors, added in an order of its own: BLAS's
+    threaded dot splits long vectors among its threads, so its sum depends on
+    the thread count."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def _accumulate(
     lo: np.ndarray,
     hi: np.ndarray,
@@ -249,8 +256,8 @@ def l1_distance(f: PiecewiseConstantDensity, g: PiecewiseConstantDensity) -> flo
     widths = np.diff(bp)
     i0 = bp.searchsorted(max(f.breakpoints[0], g.breakpoints[0]))
     i1 = max(bp.searchsorted(min(f.breakpoints[-1], g.breakpoints[-1])), i0)  # i0 if disjoint
-    common = float(gap[i0:i1] @ widths[i0:i1])
-    return common + float(gap[:i0] @ widths[:i0]) + float(gap[i1:] @ widths[i1:])
+    common = _dot(gap[i0:i1], widths[i0:i1])
+    return common + _dot(gap[:i0], widths[:i0]) + _dot(gap[i1:], widths[i1:])
 
 
 def normalize(f: PiecewiseConstantDensity) -> PiecewiseConstantDensity:

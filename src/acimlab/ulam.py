@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .density import PiecewiseConstantDensity, _case_ii_sums, _distinct, h0
+from .density import PiecewiseConstantDensity, _case_ii_sums, _distinct, _dot, h0
 from .errors import ComputationError, ParameterError
 from .wmap import PiecewiseLinearMap, WParams, classify_case
 
@@ -28,18 +28,35 @@ MAX_POWER_STEPS = 1_000_000
 RITZ_EVERY = 100  # unconverged power steps between Ritz restarts
 KRYLOV_DIM = 10  # Arnoldi basis size of one restart
 ARNOLDI_BREAKDOWN = 1e-14  # residual norm below which the Krylov space is invariant
+# Grids up to this many bins are assembled and solved with numpy alone, larger
+# ones with scipy's CSR matrix, to the same bits.  numpy's solve takes up to
+# 1.5x scipy's there, far less than the 150-250 ms that importing scipy costs
+# a CLI call; past 2048 bins the ratio keeps growing.
+NUMPY_MAX_BINS = 2048
 
 
 @dataclass(frozen=True)
 class UlamMatrix:
-    """Row-stochastic transition matrix over a bin grid."""
+    """Row-stochastic transition matrix over a bin grid, held as the arrays of
+    a CSR matrix: row i has the entries data[indptr[i]:indptr[i + 1]] in the
+    columns indices[indptr[i]:indptr[i + 1]], sorted and each once."""
 
     edges: np.ndarray
-    matrix: sp.csr_matrix
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
 
     @property
     def n_bins(self) -> int:
         return self.edges.size - 1
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        """The matrix as a scipy CSR matrix on the same arrays."""
+        import scipy.sparse as sp
+
+        n = self.n_bins
+        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(n, n))
 
 
 def build_ulam(
@@ -51,12 +68,33 @@ def build_ulam(
     for even n_bins); this makes the discretization exact for maps whose
     invariant density only jumps at 1/2.
     """
-    import scipy.sparse as sp  # only the Ulam route pays for scipy's import
-
     if n_bins < 2:
         raise ParameterError("build_ulam requires n_bins >= 2")
     edges = _grid(*pl_map.domain, n_bins, align_half)
+    data, indices, indptr = _csr_arrays(*_segments(pl_map, edges), n_bins)
+    # scipy's sum(axis=1) of a CSR matrix, whose rows here are never empty
+    row_sums = np.add.reduceat(data, indptr[:-1])
+    worst = float(row_sums[np.argmax(np.abs(row_sums - 1.0))])
+    if abs(worst - 1.0) > 1e-9:
+        # bins only some float64 spacings wide: rounding the edges spreads their widths
+        width = float(np.diff(edges).min())
+        spacing = float(np.spacing(np.abs(edges).max()))
+        raise ComputationError(
+            f"Ulam matrix is not row-stochastic (a row sums to {worst!r}): its bins are "
+            f"{width:.2e} wide, only {width / spacing:.2e} float64 spacings ({spacing:.1e}) "
+            "at the grid",
+            worst_row_sum=worst,
+        )
+    # the exact row sums are 1; rescaling removes the accumulated rounding
+    data *= np.repeat(1.0 / row_sums, np.diff(indptr))
+    return UlamMatrix(edges=edges, data=data, indices=indices, indptr=indptr)
 
+
+def _segments(
+    pl_map: PiecewiseLinearMap, edges: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The elementary segments of the map on the grid, branch by branch: the
+    source bin, target bin and fraction of the source bin of each."""
     rows, cols, vals = [], [], []
     widths = np.diff(edges)
     ends = pl_map.breakpoints
@@ -73,25 +111,49 @@ def build_ulam(
         seg_w = np.diff(cuts)
         mids = 0.5 * (cuts[:-1] + cuts[1:])
         src = _bin_of(edges, mids)
-        tgt = _bin_of(edges, slope * mids + intercept)
         rows.append(src)
-        cols.append(tgt)
+        cols.append(_bin_of(edges, slope * mids + intercept))
         vals.append(seg_w / widths[src])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _csr_arrays(
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR arrays (data, indices, indptr) of the n x n matrix with the entries
+    vals at (rows, cols), duplicates summed, bit for bit as scipy's
+    COO-to-CSR conversion makes them.
+
+    scipy places the entries row by row in input order, sorts each row by
+    column and adds each run of duplicates left to right.  Its row sort is
+    an insertion sort, so stable, up to 16 entries; past that it may reorder
+    duplicates, which shows only where a column holds three or more of them.
+    Up to NUMPY_MAX_BINS bins a stable sort of the flat index does the same
+    with numpy alone, and saves scipy's import; larger grids, and the rare
+    matrix with such a row, go to scipy.
+    """
+    if n <= NUMPY_MAX_BINS:
+        flat = rows.astype(np.int64) * n + cols
+        order = np.argsort(flat, kind="stable")
+        flat, ordered = flat[order], vals[order]
+        first = np.empty(flat.size, dtype=bool)
+        first[0] = True
+        np.not_equal(flat[1:], flat[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        row_of = flat[starts] // n
+        runs = np.diff(starts, append=flat.size)
+        if not np.any(np.bincount(rows, minlength=n)[row_of[runs >= 3]] > 16):
+            data = ordered[starts]
+            repeats = np.flatnonzero(~first)
+            np.add.at(data, np.cumsum(first)[repeats] - 1, ordered[repeats])
+            indptr = np.zeros(n + 1, dtype=np.int32)
+            np.cumsum(np.bincount(row_of, minlength=n), out=indptr[1:])
+            return data, (flat[starts] - row_of * n).astype(np.int32), indptr
+    import scipy.sparse as sp
 
     # _bin_of's int32 indices: scipy's COO-to-CSR conversion is slower on intp ones
-    matrix = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_bins, n_bins),
-    ).tocsr()
-    row_sums = np.asarray(matrix.sum(axis=1)).ravel()
-    if np.max(np.abs(row_sums - 1.0)) > 1e-9:
-        raise ComputationError(  # pragma: no cover - construction guard
-            "Ulam matrix is not row-stochastic",
-            worst_row_sum=float(row_sums[np.argmax(np.abs(row_sums - 1.0))]),
-        )
-    # the exact row sums are 1; rescaling removes the accumulated rounding
-    matrix.data *= np.repeat(1.0 / row_sums, np.diff(matrix.indptr))
-    return UlamMatrix(edges=edges, matrix=matrix)
+    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    return matrix.data, matrix.indices, matrix.indptr
 
 
 def _grid(lo: float, hi: float, n_bins: int, align_half: bool) -> np.ndarray:
@@ -121,33 +183,52 @@ def _bin_of(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.clip(idx, 0, n - 1, out=idx)
 
 
-def _power_step(transposed, mass: np.ndarray) -> tuple[np.ndarray, float]:
+def _left_product(ulam: UlamMatrix):
+    """The map m -> mP of the Ulam matrix P, bit for bit as scipy's CSR
+    mat-vec with the transpose of P.
+
+    That mat-vec adds the terms of each output from 0 in source order.  P's
+    own entries come source by source, so np.bincount over them adds in that
+    order too; it serves up to NUMPY_MAX_BINS bins, and scipy past that.
+    """
+    n = ulam.n_bins
+    if n > NUMPY_MAX_BINS:
+        transposed = ulam.matrix.T.tocsr()
+        return transposed.__matmul__
+    sources = np.repeat(np.arange(n), np.diff(ulam.indptr))
+    targets, data = ulam.indices.astype(np.intp), ulam.data
+    return lambda m: np.bincount(targets, weights=data * m[sources], minlength=n)
+
+
+def _power_step(left_product, mass: np.ndarray) -> tuple[np.ndarray, float]:
     """One normalised left power step and its L1 step length."""
-    new = transposed @ mass
+    new = left_product(mass)
     new /= new.sum()
     return new, float(np.abs(new - mass).sum())
 
 
-def _ritz_vector(transposed, start: np.ndarray) -> np.ndarray:
+def _ritz_vector(left_product, start: np.ndarray) -> np.ndarray:
     """Ritz vector for the Ritz value nearest 1 in the Krylov space of start.
 
     Arnoldi with modified Gram-Schmidt builds an orthonormal basis of
-    span{start, A start, ..., A^(m-1) start} for A = transposed, and the
-    eigenvector of the small Hessenberg matrix whose eigenvalue is nearest 1
-    is lifted back through the basis.  The sign and scale are arbitrary.
+    span{start, A start, ..., A^(m-1) start} for A = P^T, applied as
+    left_product, and the eigenvector of the small Hessenberg matrix whose
+    eigenvalue is nearest 1 is lifted back through the basis.  The sign and
+    scale are arbitrary.  No step goes through BLAS, whose threaded kernels
+    add long vectors in an order that depends on the thread count.
     """
     dim = min(KRYLOV_DIM, start.size)
     basis = np.empty((dim, start.size))
     hess = np.zeros((dim, dim))
-    basis[0] = start / np.linalg.norm(start)
+    basis[0] = start / math.sqrt(_dot(start, start))
     for j in range(dim):
-        w = transposed @ basis[j]
+        w = left_product(basis[j])
         for i in range(j + 1):
-            hess[i, j] = basis[i] @ w
+            hess[i, j] = _dot(basis[i], w)
             w -= hess[i, j] * basis[i]
         if j + 1 == dim:
             break
-        norm = np.linalg.norm(w)
+        norm = math.sqrt(_dot(w, w))
         if norm <= ARNOLDI_BREAKDOWN:  # the space is invariant: its Ritz pairs are exact
             dim = j + 1
             break
@@ -155,7 +236,7 @@ def _ritz_vector(transposed, start: np.ndarray) -> np.ndarray:
         basis[j + 1] = w / norm
     values, vectors = np.linalg.eig(hess[:dim, :dim])
     nearest = int(np.argmin(np.abs(values - 1.0)))
-    return vectors[:, nearest].real @ basis[:dim]
+    return np.einsum("i,ij->j", vectors[:, nearest].real, basis[:dim])
 
 
 def stationary_density(ulam: UlamMatrix) -> PiecewiseConstantDensity:
@@ -177,17 +258,17 @@ def stationary_density(ulam: UlamMatrix) -> PiecewiseConstantDensity:
     grid covers only part of [0, 1], extended by zero so it always lives on
     the unit interval.
     """
-    transposed = ulam.matrix.T.tocsr()
+    left_product = _left_product(ulam)
     n = ulam.n_bins
     mass = np.full(n, 1.0 / n)
     for iteration in range(1, MAX_POWER_STEPS + 1):
-        new, residual = _power_step(transposed, mass)
+        new, residual = _power_step(left_product, mass)
         if residual >= POWER_TOL and iteration % RITZ_EVERY == 0:
-            proposal = _ritz_vector(transposed, new)
+            proposal = _ritz_vector(left_product, new)
             proposal = np.clip(proposal * np.sign(proposal.sum()), 0.0, None)
             total = proposal.sum()
             if np.isfinite(total) and total > 0:
-                stepped, stepped_residual = _power_step(transposed, proposal / total)
+                stepped, stepped_residual = _power_step(left_product, proposal / total)
                 if stepped_residual < residual:
                     new, residual = stepped, stepped_residual
         mass = new

@@ -12,7 +12,7 @@ import acimlab.cli as cli
 import acimlab.density
 import acimlab.ulam
 from acimlab.errors import ComputationError
-from acimlab.wmap import WParams, fixed_points
+from acimlab.wmap import WParams, build_w_map, fixed_points
 from conftest import draw_case_i
 
 DENSITY_EXAMPLE = [
@@ -571,6 +571,45 @@ def test_map_eval_at_a_breakpoint_stays_in_the_unit_interval(tmp_path, run_cli, 
     assert all(0.0 <= v <= 1.0 for v in values)
 
 
+@pytest.mark.parametrize("steps", [1, 2, 7, 200])
+@pytest.mark.parametrize("x", ["0.3", "0.5", "0.7793702694280382"])
+def test_map_eval_prints_the_orbit_iterate_gives(capsys, steps, x):
+    assert cli.main([*MAP_EVAL_AT_X3[:-1], x, "--steps", str(steps)]) == 0
+    params = [float(v) for v in MAP_EVAL_AT_X3[2:-2:2]]  # s1, s2, p, q, r, a
+    orbit = build_w_map(WParams(*params)).iterate(float(x), steps)
+    assert capsys.readouterr().out.splitlines() == [repr(v) for v in orbit]
+
+
+@pytest.mark.parametrize("args, needle", [(["--steps", "-1"], "iteration count"),
+                                          (["--x", "1.5", "--steps", "3"], "outside the map domain")])
+def test_map_eval_orbit_checks_its_start(tmp_path, run_cli, args, needle):
+    _rejected(run_cli([*MAP_EVAL_AT_X3, *args], tmp_path), needle)
+
+
+# runs cli.main with stdout discarded and reports its exit code and peak RSS
+RSS_PROBE = """
+import os, resource, sys
+import acimlab.cli as cli
+sys.stdout = open(os.devnull, "w")
+code = cli.main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+"""
+
+
+def test_map_eval_orbit_memory_does_not_grow_with_steps(tmp_path, cli_env):
+    peaks = []
+    for steps in (1, 300_000):
+        result = subprocess.run(
+            [sys.executable, "-c", RSS_PROBE, *MAP_EVAL_AT_X3, "--steps", str(steps)],
+            cwd=tmp_path, env=cli_env, capture_output=True, text=True,
+        )
+        code, peak_kb = result.stderr.split()
+        assert code == "0"
+        peaks.append(int(peak_kb))
+    # holding the orbit would take about 10 MB more
+    assert peaks[1] - peaks[0] < 3 * 1024, peaks
+
+
 @pytest.mark.parametrize(
     "config, args, entry",
     [
@@ -627,3 +666,17 @@ def test_config_null_and_other_subcommands_keys_are_ignored(tmp_path, run_cli):
     assert resolved["tail_tol"] == 1e-10  # null leaves the flag's default
     assert "n_max" not in resolved
     assert lines[3:] == ["0.0,0.5,1.5", "0.5,1.0,0.5"]
+
+
+@pytest.mark.parametrize("command", [
+    ["density", "--method", "ulam", "--bins", "1024", "--output", "u.csv"],
+    ["sweep", "--a-schedule", "3e-8", "--output", "s.csv"],
+], ids=["density", "sweep"])
+def test_case_i_row_sum_floor_exits_3(tmp_path, run_cli, command):
+    # case I at a = 3e-8: bins too few float64 spacings wide to be row-stochastic
+    family = ["--s1", "1.5", "--s2", "2", "--p", "1", "--q", "1", "--r", "1"]
+    a = ["--a", "3e-8"] if command[0] == "density" else []
+    result = run_cli([command[0], *family, *a, *command[1:]], tmp_path)
+    assert result.returncode == 3
+    assert "Traceback" not in result.stderr
+    assert "not row-stochastic" in result.stderr and "float64 spacings" in result.stderr

@@ -77,16 +77,21 @@ def test_series_commands_leave_scipy_unloaded(loaded_after, args):
     assert not report["scipy"]
 
 
-def test_ulam_density_loads_scipy(loaded_after):
-    # the probe's control: the one route that needs scipy does load it
-    report = loaded_after(["density", *FIG, "--a", "0.01", "--method", "ulam",
-                           "--bins", "64", "--output", "u.csv"])
-    assert report["scipy"]
+@pytest.mark.parametrize("bins", ["64", "2048"])
+@pytest.mark.parametrize("method", ["ulam", "both"])
+def test_small_grid_ulam_density_leaves_scipy_unloaded(loaded_after, method, bins):
+    # up to NUMPY_MAX_BINS bins numpy assembles and solves the Ulam matrix
+    report = loaded_after(["density", *FIG, "--a", "0.01", "--method", method,
+                           "--bins", bins, "--output", "u.csv"])
+    assert report["numpy"]
+    assert not report["scipy"]
 
 
 def test_ritz_restarts_leave_sparse_linalg_unloaded(loaded_after):
-    # a slowly mixing case-II chain reaches the Ritz restarts, which use numpy
-    # only: scipy.sparse.linalg (ARPACK) costs start-up time and memory
+    # the probe's control: past NUMPY_MAX_BINS bins the Ulam route loads
+    # scipy's CSR matrix.  A slowly mixing case-II chain reaches the Ritz
+    # restarts, which use numpy only: scipy.sparse.linalg (ARPACK) costs
+    # start-up time and memory
     report = loaded_after(["density", *FIG, "--a", "0.001", "--method", "ulam",
                            "--bins", "4096", "--output", "u.csv"])
     assert report["scipy"]

@@ -222,7 +222,7 @@ def test_rejected_ritz_proposals_leave_plain_power_iteration(monkeypatch, propos
     ulam = build_ulam(build_w_map(WParams(1.5, 3.0, 3.0, 2.0, 2.0, 1e-3)), 1024)
     proposals = []
 
-    def bad_ritz_vector(transposed, start):
+    def bad_ritz_vector(left_product, start):
         proposals.append(start.size)
         return proposal(start.size)
 
@@ -246,7 +246,7 @@ def test_restarts_only_after_ritz_every_steps(monkeypatch):
     # a chain that converges within RITZ_EVERY steps never proposes a restart,
     # so it gets today's plain power iteration bit for bit
     ulam = build_ulam(w0_map(1.5, 3.0), 1023, align_half=True)
-    def no_restart(transposed, start):
+    def no_restart(left_product, start):
         pytest.fail("a restart was proposed before RITZ_EVERY steps")
 
     monkeypatch.setattr(ulam_module, "_ritz_vector", no_restart)

@@ -14,10 +14,16 @@ reproduce all of it exactly.
 A change that is meant to move these numbers regenerates the file with
 ``PYTHONPATH=src python tests/test_ulam_bits.py`` and says which entries
 moved and why.
+
+The bits must not depend on how many threads BLAS runs: the route takes
+its long dot products and norms with einsum, and the 2^14-bin entry is
+checked under one and two OpenBLAS threads.
 """
 
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 from acimlab.density import h0, l1_distance, normalize, solve_series, transfer_operator_apply
@@ -84,6 +90,33 @@ def test_ulam_outputs_match_pinned_bits():
     assert len(produced) == len(expected) == 31
     for got, want in zip(produced, expected):
         assert got == want, want["input"]
+
+
+# prints the 2^14-bin entry, run from this directory
+FINE_PROBE = """
+import json
+from acimlab.density import normalize, solve_series
+from acimlab.wmap import WParams, build_w_map
+from test_ulam_bits import FINE, _entry
+params = WParams(*FINE[0], FINE[1])
+g = normalize(solve_series(params).density)
+print(json.dumps(_entry(None, build_w_map(params), FINE[2], exact=g)))
+"""
+
+
+def test_fine_entry_does_not_depend_on_blas_threads(cli_env):
+    outputs = []
+    for threads in ("1", "2"):
+        result = subprocess.run(
+            [sys.executable, "-c", FINE_PROBE],
+            cwd=Path(__file__).parent,
+            env={**cli_env, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
 
 
 if __name__ == "__main__":
