@@ -29,9 +29,9 @@ RITZ_EVERY = 100  # unconverged power steps between Ritz restarts
 KRYLOV_DIM = 10  # Arnoldi basis size of one restart
 ARNOLDI_BREAKDOWN = 1e-14  # residual norm below which the Krylov space is invariant
 # Grids up to this many bins are assembled and solved with numpy alone, larger
-# ones with scipy's CSR matrix, to the same bits.  numpy's solve takes up to
-# 1.5x scipy's there, far less than the 150-250 ms that importing scipy costs
-# a CLI call; past 2048 bins the ratio keeps growing.
+# ones with scipy's CSR matrix.  numpy's solve takes up to 1.5x scipy's there,
+# far less than the 150-250 ms that importing scipy costs a CLI call; past
+# 2048 bins the ratio keeps growing.
 NUMPY_MAX_BINS = 2048
 
 
@@ -121,16 +121,12 @@ def _csr_arrays(
     rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR arrays (data, indices, indptr) of the n x n matrix with the entries
-    vals at (rows, cols), duplicates summed, bit for bit as scipy's
-    COO-to-CSR conversion makes them.
+    vals at (rows, cols), duplicates summed.
 
-    scipy places the entries row by row in input order, sorts each row by
-    column and adds each run of duplicates left to right.  Its row sort is
-    an insertion sort, so stable, up to 16 entries; past that it may reorder
-    duplicates, which shows only where a column holds three or more of them.
-    Up to NUMPY_MAX_BINS bins a stable sort of the flat index does the same
-    with numpy alone, and saves scipy's import; larger grids, and the rare
-    matrix with such a row, go to scipy.
+    Up to NUMPY_MAX_BINS bins numpy alone builds them: a stable sort by row
+    and column, then each run of duplicates added left to right in input
+    order.  Larger grids take scipy's COO-to-CSR conversion, which does the
+    same but for its row sort, stable only up to 16 entries in a row.
     """
     if n <= NUMPY_MAX_BINS:
         flat = rows.astype(np.int64) * n + cols
@@ -141,14 +137,12 @@ def _csr_arrays(
         np.not_equal(flat[1:], flat[:-1], out=first[1:])
         starts = np.flatnonzero(first)
         row_of = flat[starts] // n
-        runs = np.diff(starts, append=flat.size)
-        if not np.any(np.bincount(rows, minlength=n)[row_of[runs >= 3]] > 16):
-            data = ordered[starts]
-            repeats = np.flatnonzero(~first)
-            np.add.at(data, np.cumsum(first)[repeats] - 1, ordered[repeats])
-            indptr = np.zeros(n + 1, dtype=np.int32)
-            np.cumsum(np.bincount(row_of, minlength=n), out=indptr[1:])
-            return data, (flat[starts] - row_of * n).astype(np.int32), indptr
+        data = ordered[starts]
+        repeats = np.flatnonzero(~first)
+        np.add.at(data, np.cumsum(first)[repeats] - 1, ordered[repeats])
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(row_of, minlength=n), out=indptr[1:])
+        return data, (flat[starts] - row_of * n).astype(np.int32), indptr
     import scipy.sparse as sp
 
     # _bin_of's int32 indices: scipy's COO-to-CSR conversion is slower on intp ones

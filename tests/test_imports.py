@@ -77,11 +77,20 @@ def test_series_commands_leave_scipy_unloaded(loaded_after, args):
     assert not report["scipy"]
 
 
-@pytest.mark.parametrize("bins", ["64", "2048"])
+@pytest.mark.parametrize(
+    "params, bins",
+    [
+        ([*FIG, "--a", "0.01"], "64"),
+        ([*FIG, "--a", "0.01"], "2048"),
+        # slopes 1.05 and 30: rows of more than 16 entries, three or more in one column
+        (["--s1", "1.05", "--s2", "30", "--a", "0.001"], "64"),
+    ],
+    ids=["64", "2048", "steep-64"],
+)
 @pytest.mark.parametrize("method", ["ulam", "both"])
-def test_small_grid_ulam_density_leaves_scipy_unloaded(loaded_after, method, bins):
-    # up to NUMPY_MAX_BINS bins numpy assembles and solves the Ulam matrix
-    report = loaded_after(["density", *FIG, "--a", "0.01", "--method", method,
+def test_small_grid_ulam_density_leaves_scipy_unloaded(loaded_after, method, params, bins):
+    # up to NUMPY_MAX_BINS bins numpy assembles and solves every Ulam matrix
+    report = loaded_after(["density", *params, "--method", method,
                            "--bins", bins, "--output", "u.csv"])
     assert report["numpy"]
     assert not report["scipy"]

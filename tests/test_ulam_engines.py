@@ -1,14 +1,19 @@
-"""The Ulam route's two engines give the same bits.
+"""The Ulam route's two engines, and the order in which numpy's engine adds.
 
 Grids of at most ``NUMPY_MAX_BINS`` bins are assembled and solved with numpy
-alone, larger ones with scipy's CSR matrix.  Each test here feeds the same
-segments to both and requires equal bytes: the CSR arrays against scipy's
-COO-to-CSR conversion called directly, the row sums and rescaling against
-scipy's ``sum(axis=1)``, the mat-vec ``m -> mP`` against scipy's CSR
-mat-vec with the transpose, and the stationary densities of whole chains,
-restarting and periodic ones included.  The engine is forced either way by
-setting ``NUMPY_MAX_BINS``.
+alone, larger ones with scipy's CSR matrix.  numpy's assembly keeps its own
+order: a stable sort by row and column, each run of duplicates added left to
+right in input order.  The tests here check it against a plain-Python
+reference on random matrices, long rows included, and against scipy's
+COO-to-CSR conversion wherever scipy's row sort is stable too.  On the maps'
+own grids the two engines give equal bytes: the CSR arrays, the row sums and
+rescaling against scipy's ``sum(axis=1)``, the mat-vec ``m -> mP`` against
+scipy's CSR mat-vec with the transpose, and the stationary densities of
+whole chains, restarting and periodic ones included.  The engine is forced
+either way by setting ``NUMPY_MAX_BINS``.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -99,8 +104,37 @@ def test_engines_agree_on_restarting_chains(monkeypatch, pl_map, n_bins):
     assert len(restarts) == 2  # one restart per engine
 
 
-def test_numpy_assembly_matches_scipy_on_random_matrices():
-    # few columns and many entries per row: long runs of duplicates
+def reference_csr(rows, cols, vals, n):
+    """CSR arrays with each (row, column)'s entries added left to right in
+    input order, from its first: numpy's promised order, in plain Python."""
+    sums = {}
+    for key, value in zip(zip(rows.tolist(), cols.tolist()), vals.tolist()):
+        sums[key] = sums[key] + value if key in sums else value
+    keys = sorted(sums)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount([row for row, _ in keys], minlength=n), out=indptr[1:])
+    indices = np.array([col for _, col in keys], dtype=np.int32)
+    return sp.csr_matrix((np.array([sums[key] for key in keys]), indices, indptr), shape=(n, n))
+
+
+def scipy_sorts_stably(rows, cols):
+    """Whether every row has at most 16 entries, scipy's insertion-sort
+    limit, or at most two entries in any one column, whose sum no order
+    changes."""
+    for row in np.unique(rows):
+        in_row = cols[rows == row]
+        if in_row.size > 16 and np.bincount(in_row).max() > 2:
+            return False
+    return True
+
+
+def numpy_csr(rows, cols, vals, n):
+    return sp.csr_matrix(_csr_arrays(rows, cols, vals, n), shape=(n, n))
+
+
+def random_matrices():
+    """300 seeded COO matrices with few columns and many entries per row:
+    long runs of duplicates, many in rows past 16 entries."""
     rng = np.random.default_rng(7)
     for _ in range(300):
         n = int(rng.integers(1, 40))
@@ -108,24 +142,42 @@ def test_numpy_assembly_matches_scipy_on_random_matrices():
         rows = rng.integers(0, n, size).astype(np.int32)
         cols = rng.integers(0, min(n, int(rng.integers(1, 6))), size).astype(np.int32)
         vals = rng.uniform(0.0, 1.0, size) * 10.0 ** rng.integers(-8, 1, size)
-        reference = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        data, indices, indptr = _csr_arrays(rows, cols, vals, n)
-        assert_same_arrays(sp.csr_matrix((data, indices, indptr), shape=(n, n)), reference)
+        yield rows, cols, vals, n
+
+
+def test_numpy_assembly_keeps_its_order_on_random_matrices():
+    for rows, cols, vals, n in random_matrices():
+        assert_same_arrays(numpy_csr(rows, cols, vals, n), reference_csr(rows, cols, vals, n))
+
+
+def test_numpy_assembly_matches_scipy_on_random_matrices():
+    stable = 0
+    for rows, cols, vals, n in random_matrices():
+        if scipy_sorts_stably(rows, cols):
+            stable += 1
+            want = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+            assert_same_arrays(numpy_csr(rows, cols, vals, n), want)
+    assert 100 < stable < 300  # 202: scipy adds 67 of the other 98 in another order
 
 
 @pytest.mark.parametrize("length", [16, 17, 40])
-def test_rows_past_sixteen_entries_keep_scipys_sum_order(length):
-    # scipy's row sort is stable up to 16 entries only; past that the order
-    # in which it adds three or more duplicates is its own, and numpy must
-    # leave such a matrix to scipy
+def test_long_rows_keep_numpys_order_without_scipy(monkeypatch, length):
+    # one row of `length` entries in 4 columns, three or more in one: scipy's
+    # row sort is stable up to 16 entries only, numpy's at any length, and
+    # assembling such a row on a small grid needs no scipy
     rng = np.random.default_rng(length)
     for _ in range(50):
         cols = rng.integers(0, 4, length).astype(np.int32)
         rows = np.zeros(length, dtype=np.int32)
         vals = rng.uniform(0.0, 1.0, length) * 10.0 ** rng.integers(-8, 1, length)
-        reference = sp.coo_matrix((vals, (rows, cols)), shape=(4, 4)).tocsr()
-        data, indices, indptr = _csr_arrays(rows, cols, vals, 4)
-        assert_same_arrays(sp.csr_matrix((data, indices, indptr), shape=(4, 4)), reference)
+        assert np.bincount(cols).max() >= 3
+        want = reference_csr(rows, cols, vals, 4)
+        if length <= 16:
+            assert_same_arrays(want, sp.coo_matrix((vals, (rows, cols)), shape=(4, 4)).tocsr())
+        with monkeypatch.context() as blocked:
+            blocked.setitem(sys.modules, "scipy.sparse", None)  # importing it raises
+            got = numpy_csr(rows, cols, vals, 4)
+        assert_same_arrays(got, want)
 
 
 def test_matrix_property_shares_the_arrays():
