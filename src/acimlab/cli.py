@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -38,14 +39,21 @@ def _fmt(value) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
+    """Write text through a temporary file next to the target, then rename it
+    over the target.  A symlink is followed, so its target gets the text and
+    the link stays; an existing target that is not a regular file (a FIFO, a
+    device, a directory) is refused rather than replaced."""
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        raise ParameterError(f"cannot write output {path}: not a regular file")
+    directory = os.path.dirname(target)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".acimlab-", suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.chmod(tmp, 0o644)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException as exc:
         if tmp is not None:
             os.unlink(tmp)
@@ -101,6 +109,10 @@ def _parse_schedule(args) -> list[float]:
         raise ParameterError(
             "a_schedule: pass --a-schedule or all of --a-start/--a-stop/--a-points"
         )
+    for name in ("a_start", "a_stop"):
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite (got {value!r})")
     import numpy as np
 
     if args.a_points < 1:

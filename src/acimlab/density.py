@@ -468,8 +468,9 @@ def _lambda_system(s11: float, s22: float) -> tuple[float, float]:
 def solve_series(params: WParams, tail_tol: float = DEFAULT_TAIL_TOL) -> SeriesSolution:
     """Walk the turning orbit once and derive k, Lambda and the series density.
 
-    One walk serves three stopping rules, and goes only as far as the
-    longest of them needs:
+    One loop takes the steps, records each once, and tests the three
+    stopping rules as it goes; it ends at the first step where all three
+    are met, so the walk goes only as far as the longest of them needs:
 
     * S11 counts steps whose cumulative slope sign matches the side of 1/2
       the orbit point falls on; S22 uses the opposite pairing with the
@@ -487,14 +488,18 @@ def solve_series(params: WParams, tail_tol: float = DEFAULT_TAIL_TOL) -> SeriesS
       cumulative slope, until the remaining mass, prefactor and Lambda
       included, is below tail_tol; the exact transfer operator then
       reproduces it to within twice that truncation.  This rule needs
-      Lambda, so it scans the steps already taken and walks on as needed.
+      Lambda, so the loop tests it from the step that fixes Lambda on, and
+      a binary search over the recorded steps finds where it stopped.
 
     In case II ||f||_1 shrinks like a, so there both SERIES_CUTOFF and
     tail_tol are relative to ||f||_1, taken as its a -> 0 limit |B/a| * a;
     in case III, where ||f||_1 stays of order one, they are absolute.
 
     Each rule stops at the step, and each sum adds in the order, that a
-    walk of its own would.
+    walk of its own would.  The errors come in the same order as the rules:
+    an S-series that misses the cutoff within MAX_SERIES_TERMS steps, a
+    singular Lambda, no k within 2 * closed_form_k steps, then a density
+    series that misses tail_tol within MAX_SERIES_TERMS steps.
     """
     case = _require_series_case(params)
     if not (math.isfinite(tail_tol) and tail_tol > 0):
@@ -512,81 +517,67 @@ def solve_series(params: WParams, tail_tol: float = DEFAULT_TAIL_TOL) -> SeriesS
     # underflow to 0 and the S-series would never meet it
     closed_form_k = _closed_form_k(params, threshold)
     ratio_12 = -fall / beta  # cum-slope ratio of the two sides
-    steps = _orbit_steps(pl_map)
+    limit = 2 * closed_form_k
+
+    def below_tol(cum):  # the density's tail bound, once Lambda fixes it
+        return bound / (abs(cum) * gap) < tol
+
     zs, cums = [], []
-    s11 = 0.0
-    s22 = 0.0
-    for z, cum in islice(steps, MAX_SERIES_TERMS):
+    s11 = s22 = 0.0
+    k = n_terms = 0
+    for z, cum in islice(_orbit_steps(pl_map), MAX_SERIES_TERMS):
         zs.append(z)
         cums.append(cum)
-        # S11 takes the steps whose cumulative slope (never 0) has the sign
-        # of the point's side of 1/2; ratio_12 < 0 flips that sign, so S22's
-        # opposite pairing takes the same steps
-        abs_cum = abs(cum)
-        if z > 0.5 if cum > 0 else z < 0.5:
-            s11 += 1.0 / abs_cum
-            s22 += 1.0 / abs(cum * ratio_12)
-        if 1.0 / (abs_cum * gap) < cutoff:
+        if not k and z <= threshold:
+            k = len(zs)
+        if not n_terms:
+            # S11 takes the steps whose cumulative slope (never 0) has the sign
+            # of the point's side of 1/2; ratio_12 < 0 flips that sign, so S22's
+            # opposite pairing takes the same steps
+            abs_cum = abs(cum)
+            if z > 0.5 if cum > 0 else z < 0.5:
+                s11 += 1.0 / abs_cum
+                s22 += 1.0 / abs(cum * ratio_12)
+            if not 1.0 / (abs_cum * gap) < cutoff:
+                continue
+            n_terms = len(zs)
+            denominator = 1.0 - (s11 + s22)
+            if abs(denominator) < 1e-14:
+                raise ComputationError(
+                    "Lambda is numerically singular (1 - S11 - S22 ~ 0)",
+                    denominator=denominator,
+                )
+            lam = 1.0 / denominator
+            d1, d2 = _lambda_system(s11, s22)
+            if not (abs(d1 - lam) <= 1e-6 * abs(lam) and abs(d2 - lam) <= 1e-6 * abs(lam)):
+                raise ComputationError(  # pragma: no cover - consistency guard
+                    "series and linear-system values of Lambda disagree",
+                    series=lam,
+                    solved=(d1, d2),
+                )
+            coeff = (1.0 + beta / fall) * lam
+            bound = abs(coeff)
+        if len(zs) >= limit and not 0 < k <= limit:
+            raise ComputationError(
+                f"turning orbit did not exit the rising branch within 2 * closed_form_k "
+                f"= {limit} steps: its offset from the fixed point is lost to "
+                f"float64 rounding, so a = {params.a!r} is below the precision floor",
+                steps=limit,
+            )
+        if k and below_tol(cum):
             break
     else:
-        raise ComputationError("S-series did not meet the cutoff", steps=MAX_SERIES_TERMS)
-    n_terms = len(zs)
-    denominator = 1.0 - (s11 + s22)
-    if abs(denominator) < 1e-14:
-        raise ComputationError(
-            "Lambda is numerically singular (1 - S11 - S22 ~ 0)",
-            denominator=denominator,
-        )
-    lam = 1.0 / denominator
-    d1, d2 = _lambda_system(s11, s22)
-    if not (abs(d1 - lam) <= 1e-6 * abs(lam) and abs(d2 - lam) <= 1e-6 * abs(lam)):
-        raise ComputationError(  # pragma: no cover - consistency guard
-            "series and linear-system values of Lambda disagree",
-            series=lam,
-            solved=(d1, d2),
-        )
-
-    limit = 2 * closed_form_k
-    k = next((n for n, z in enumerate(zs, 1) if z <= threshold), 0)
-    while not k and len(zs) < limit:
-        z, cum = next(steps)
-        zs.append(z)
-        cums.append(cum)
-        if z <= threshold:
-            k = len(zs)
-    if not 0 < k <= limit:
-        raise ComputationError(
-            f"turning orbit did not exit the rising branch within 2 * closed_form_k "
-            f"= {limit} steps: its offset from the fixed point is lost to "
-            f"float64 rounding, so a = {params.a!r} is below the precision floor",
-            steps=limit,
-        )
+        if not n_terms:
+            raise ComputationError("S-series did not meet the cutoff", steps=MAX_SERIES_TERMS)
+        raise ComputationError("density series did not converge", steps=MAX_SERIES_TERMS)
 
     k1 = (2 * k) // 3
     kappa = (s1 + s2 + p * a + q * a) / (beta * fall)
     eta = (s1 + s2 + p * a + q * a) / (fall**2 * (beta - 1))
     lam_low = 1.0 / (1.0 - (kappa + eta * (1.0 - beta ** -(k1 - 1))))
     lam_high = 1.0 / (1.0 - (kappa + eta))
-
-    coeff = (1.0 + beta / fall) * lam
-    bound = abs(coeff)
-
-    def below_tol(cum):
-        return bound / (abs(cum) * gap) < tol
-
-    # |B_n| grows at every step, so the tail bound only falls along the walk,
-    # and a binary search counts the steps taken whose bound is not yet below
-    # tol; while that is all of them, the walk goes on
-    n_density = bisect_left(cums, True, key=below_tol)
-    while n_density == len(cums):
-        if n_density >= MAX_SERIES_TERMS:
-            raise ComputationError("density series did not converge", steps=n_density)
-        z, cum = next(steps)
-        zs.append(z)
-        cums.append(cum)
-        if not below_tol(cum):
-            n_density += 1
-    n_density += 1
+    # |B_n| grows at every step, so the tail bound only falls along the walk
+    n_density = bisect_left(cums, True, key=below_tol) + 1
 
     z = np.array(zs)
     cum = np.array(cums)

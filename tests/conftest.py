@@ -86,8 +86,10 @@ def cli_env():
     (such as `src`) no longer resolves. Prepend the absolute directory that
     holds the package this test run imported, so each child imports the same
     checkout rather than failing or picking up another installed copy.
+    RuntimeWarnings are errors in the children too, as pyproject's
+    filterwarnings makes them in this process.
     """
-    env = dict(os.environ)
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
     package_root = str(Path(acimlab.__file__).resolve().parents[1])
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = package_root + (os.pathsep + inherited if inherited else "")

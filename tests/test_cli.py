@@ -1,6 +1,8 @@
 """CLI behavior: flags, config files, schemas, determinism, exit codes."""
 
 import json
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -378,6 +380,31 @@ def test_unwritable_output_exits_2(tmp_path, run_cli, output):
     assert not list(tmp_path.rglob(".acimlab-*"))
 
 
+def test_output_through_a_symlink_writes_its_target(tmp_path, run_cli):
+    (tmp_path / "data").mkdir()
+    target = tmp_path / "data" / "x.csv"
+    target.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    result = run_cli([*DENSITY_EXAMPLE, "--output", "link.csv"], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert link.is_symlink() and link.resolve() == target
+    assert not list(tmp_path.rglob(".acimlab-*"))
+    # the same call onto a plain file writes the same bytes
+    link.unlink()
+    assert run_cli([*DENSITY_EXAMPLE, "--output", "link.csv"], tmp_path).returncode == 0
+    assert target.read_bytes() == link.read_bytes()
+
+
+def test_output_onto_a_fifo_exits_2(tmp_path, run_cli):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    result = run_cli([*DENSITY_EXAMPLE, "--output", "pipe"], tmp_path)
+    _rejected(result, "cannot write output pipe: not a regular file")
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert not list(tmp_path.rglob(".acimlab-*"))
+
+
 RATIOS_GOLDEN = [
     "ratios", "--s1", "1.5", "--s2", "3", "--p", "3", "--q", "2", "--r", "2",
     "--a-start", "0.01", "--a-stop", "0.0001", "--a-points", "3",
@@ -510,6 +537,23 @@ def test_log_schedule_needs_positive_ends(tmp_path, run_cli, ends):
 
 
 SWEEP_III = ["sweep", "--s1", "3", "--s2", "3"]
+
+
+@pytest.mark.parametrize("spacing", ["log", "linear"])
+@pytest.mark.parametrize(
+    "ends, needle",
+    [(("inf", "0.001"), "a_start must be finite (got inf)"),
+     (("0.01", "nan"), "a_stop must be finite (got nan)")],
+)
+def test_non_finite_schedule_end_exits_2(tmp_path, run_cli, spacing, ends, needle):
+    start, stop = ends
+    result = run_cli(
+        [*SWEEP_III, "--a-start", start, "--a-stop", stop, "--a-points", "3",
+         "--a-spacing", spacing, "--output", "x.csv"],
+        tmp_path,
+    )
+    _rejected(result, needle)
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -258,6 +258,60 @@ def test_turning_orbit_truncation_error(monkeypatch):
     assert len(steps) == 2 * 53
 
 
+def test_s_series_cutoff_error(monkeypatch):
+    # SMALL_LIFT needs 34 S-terms to meet the cutoff
+    monkeypatch.setattr(density, "MAX_SERIES_TERMS", 10)
+    with pytest.raises(ComputationError, match="S-series did not meet the cutoff"):
+        solve_series(SMALL_LIFT)
+
+
+def test_density_series_convergence_error(monkeypatch):
+    # S-series (34 terms) and k (13) fit in 100 steps; at tail_tol 1e-300
+    # the density series needs 902
+    monkeypatch.setattr(density, "MAX_SERIES_TERMS", 100)
+    with pytest.raises(ComputationError, match="density series did not converge"):
+        solve_series(SMALL_LIFT, tail_tol=1e-300)
+
+
+def synthetic_walk(monkeypatch, first_cum, n_idle):
+    """Replace the turning orbit of LAMBDA_PROBE (beta = fall, so
+    S11 = S22 = 1/B_n on counted steps) by a walk that never leaves the
+    rising branch: one counted step with cumulative slope first_cum, n_idle
+    steps that S11 and S22 skip, then a step that meets the cutoff.  Returns
+    the list of steps taken."""
+    walk = [(0.75, first_cum)] + [(0.75, -2.0)] * n_idle + [(0.75, 1e300)]
+    taken = []
+
+    def steps(pl_map):
+        for step in walk:
+            taken.append(step)
+            yield step
+
+    monkeypatch.setattr(density, "_orbit_steps", steps)
+    return taken
+
+
+LAMBDA_PROBE = WParams(3.0, 3.0, 1.0, 1.0, 1.0, 0.01)  # closed_form_k = 5
+
+
+@pytest.mark.parametrize(
+    "first_cum, n_idle, message",
+    [
+        (2.0, 0, "Lambda is numerically singular"),  # S11 + S22 = 1/2 + 1/2
+        (2.0, 15, "Lambda is numerically singular"),
+        (4.0, 15, "precision floor"),
+    ],
+)
+def test_singular_lambda_and_the_precision_floor(monkeypatch, first_cum, n_idle, message):
+    # with 15 idle steps the S-series outlast 2 * closed_form_k = 10 and k is
+    # never found: a singular Lambda is still reported first, and a regular
+    # one lets the walk stop at once with the precision-floor error
+    taken = synthetic_walk(monkeypatch, first_cum, n_idle)
+    with pytest.raises(ComputationError, match=message):
+        solve_series(LAMBDA_PROBE)
+    assert len(taken) == n_idle + 2
+
+
 # ---------------------------------------------------------------------------
 # Lambda
 
