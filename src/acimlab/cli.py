@@ -368,17 +368,14 @@ def _family_schedule(args) -> tuple[Family, list[float]]:
 
 
 def _cmd_sweep(args, config):
-    from .experiments import sweep
+    from .experiments import _completed, sweep
 
     _require(config, "s1", "s2", "p", "q", "r", "output")
     family, schedule = _family_schedule(args)
     if family.case == "I" and args.bins < 2:
         raise ParameterError(f"a case-I sweep needs bins >= 2 (got {args.bins})")
-    records = sweep(family, schedule, bins=args.bins)
     rows = []
-    for rec in records:
-        if rec.error is not None:
-            raise ComputationError(f"sweep point a={rec.a} failed: {rec.error}")
+    for rec in _completed(sweep(family, schedule, bins=args.bins), "sweep"):
         c = rec.c_over_a or (None, None, None, None)
         rows.append(
             [rec.a, rec.case, rec.d_to_limit, c[0], c[1], c[2], c[3],
@@ -429,8 +426,31 @@ COMMANDS = {
 }
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Join each negative number to the flag before it: --a -1e-3 -> --a=-1e-3.
+
+    argparse reads a token that starts with "-" as a flag unless it looks
+    like a plain decimal, so "-1e-3" or "-inf" would lose its flag; joined,
+    every text float() accepts reaches the program's own checks.
+    """
+    out = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if token.startswith("-") and prev.startswith("--") and prev != "--" and "=" not in prev:
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{prev}={token}"
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _join_negative_values(sys.argv[1:] if argv is None else list(argv))
     args = parser.parse_args(argv)
     try:
         config = _merge_config(args, parser, argv)

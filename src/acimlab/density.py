@@ -21,7 +21,6 @@ and the transfer operator can be evaluated exactly.
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
@@ -263,9 +262,9 @@ def l1_distance(f: PiecewiseConstantDensity, g: PiecewiseConstantDensity) -> flo
 def normalize(f: PiecewiseConstantDensity) -> PiecewiseConstantDensity:
     """Divide by the total integral so the result has integral 1.
 
-    The raw series output can carry tiny negative cell values after division
-    (and genuinely negative ones would signal a bug or a degenerate regime):
-    values below -1e-9 trigger a warning, and all negatives are clamped to 0.
+    The raw series output can carry tiny negative cell values after division;
+    those are clamped to 0.  A value below -1e-9 is no rounding residue (a
+    series truncated by a loose tail_tol, say) and raises ComputationError.
     """
     total = f.integral()
     if abs(total) < 1e-300:
@@ -276,8 +275,10 @@ def normalize(f: PiecewiseConstantDensity) -> PiecewiseConstantDensity:
     values = f.values / total
     worst = values.min()
     if worst < -1e-9:
-        warnings.warn(
-            f"normalized density clipped at {worst:.3e} < -1e-9", RuntimeWarning
+        raise ComputationError(
+            f"normalized density has a cell at {worst:.3e} < -1e-9, beyond "
+            f"rounding: not a density (a loose tail_tol truncates the series early)",
+            worst=float(worst),
         )
     np.maximum(values, 0.0, out=values)
     return PiecewiseConstantDensity._trusted(f.breakpoints.copy(), values)

@@ -4,10 +4,10 @@ A sweep follows one family (fixed s1, s2, p, q, r) along a decreasing
 schedule of perturbation sizes and records, per point, the distance to the
 limit measure, the peak-region integral ratios (case II), the sup of the
 normalized density, its essential infimum (cases II and III) and the
-stopping index.
-Case II/III points use the explicit series density; case I points use the
-Ulam oracle on the invariant interval around the turning point, where the
-series machinery does not apply.
+stopping index.  The ratio report, the bound check and the counterexample
+search read these points.  Case II/III points use the explicit series
+density; case I points use the Ulam oracle on the invariant interval around
+the turning point, where the series machinery does not apply.
 """
 
 from __future__ import annotations
@@ -95,6 +95,14 @@ def sweep(family: Family, a_schedule, bins: int = 4096) -> list[SweepRecord]:
     return records
 
 
+def _completed(rows: list[SweepRecord], label: str) -> list[SweepRecord]:
+    """The rows themselves, or a ComputationError naming the first failed one."""
+    for row in rows:
+        if row.error is not None:
+            raise ComputationError(f"{label} point a={row.a} failed: {row.error}")
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # case II ratio report
 
@@ -125,10 +133,7 @@ def asymptotic_ratio_report(family: Family, a_schedule) -> RatioReport:
     """
     if family.case != "II":
         raise ParameterError("asymptotic_ratio_report requires a case-II family")
-    rows = sweep(family, a_schedule)
-    for row in rows:
-        if row.error is not None:
-            raise ComputationError(f"ratio point a={row.a} failed: {row.error}")
+    rows = _completed(sweep(family, a_schedule), "ratio")
     targets = ratio_targets(family)
     names = ("C1", "C2", "C3", "B")
     monotone = {}
@@ -152,15 +157,14 @@ class BoundReport:
 def uniform_bound_check(family: Family, a_schedule) -> BoundReport:
     """Track sup of the normalized density over a case-III schedule.
 
-    The growth flag trips when the sup at the smallest a exceeds twice the
-    median over the schedule, a cheap screen for unbounded growth.
+    The sups come from ``sweep``'s rows: its schedule rule holds, and a failed
+    row raises ComputationError.  The growth flag trips when the sup at the
+    smallest a exceeds twice the median over the schedule, a cheap screen for
+    unbounded growth.
     """
     if family.case != "III":
         raise ParameterError("uniform_bound_check requires a case-III family")
-    per_a = []
-    for a in a_schedule:
-        h = normalize(solve_series(family.at(float(a))).density)
-        per_a.append((float(a), h.sup()))
+    per_a = [(row.a, row.sup_density) for row in _completed(sweep(family, a_schedule), "bound")]
     sups = [s for _, s in per_a]
     return BoundReport(
         sup_over_sweep=max(sups),
@@ -187,8 +191,8 @@ def counterexample_sequence(n_max: int) -> list[CounterexampleRow]:
 
     Searches each n down the geometric schedule a = 0.1/n * 2^-m, m <= 20,
     which ends above the float64 floor of the turning-orbit walk (near
-    a = 1e-9 for these maps), and reports the essential infimum of the
-    normalized density at the first success.  The found infima vanish as n
+    a = 1e-9 for these maps), one sweep point per candidate, and reports the
+    essential infimum at the first success.  The found infima vanish as n
     grows even though each single map's density is bounded away from zero.
     """
     if n_max < 1:
@@ -199,20 +203,15 @@ def counterexample_sequence(n_max: int) -> list[CounterexampleRow]:
         family = Family(2.0, 2.0, 1.0, 1.0, r)
         limit = limit_measure(2.0, 2.0, 1.0, 1.0, r)
         best = np.inf
-        hit = None
         for a in (0.1 / r * 2.0**-m for m in range(21)):
-            h = normalize(solve_series(family.at(a)).density)
-            d = wasserstein1(MeasureRepr(density=h), limit)
-            best = min(best, d)
-            if d < 1.0 / n:
-                hit = CounterexampleRow(
-                    n=n, r_n=r, a_n=a, d_n=d, essinf_n=h.essential_infimum()
-                )
+            point = _sweep_point(family.at(a), family.case, limit, bins=0)  # bins: case I only
+            best = min(best, point.d_to_limit)
+            if point.d_to_limit < 1.0 / n:
                 break
-        if hit is None:
+        else:
             raise ComputationError(
                 f"search exhausted for n={n}: smallest distance {best} >= {1.0 / n}",
                 smallest_d=best,
             )
-        rows.append(hit)
+        rows.append(CounterexampleRow(n, r, a, point.d_to_limit, point.essinf_density))
     return rows

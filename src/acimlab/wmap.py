@@ -59,13 +59,18 @@ class WParams:
             )
         # Breakpoint ordering; equivalently the outer-branch denominators stay
         # positive.  With r*a < 1/2 this also keeps every breakpoint image,
-        # {1, 0, 1/2 + r*a, 0, 1}, inside [0, 1].
-        if not self.s1 - 1 + self.p * self.a - 2 * self.r * self.a > 0:
+        # {1, 0, 1/2 + r*a, 0, 1}, inside [0, 1].  Next to each boundary the
+        # breakpoint can still round onto 0 or 1, so it is also checked as
+        # build_w_map computes it.
+        lift = 0.5 + self.r * self.a
+        x1 = 0.5 - lift / (self.s1 + self.p * self.a)
+        x3 = 0.5 - lift / -(self.s2 + self.q * self.a)
+        if not (self.s1 - 1 + self.p * self.a - 2 * self.r * self.a > 0 and 0 < x1 < 0.5):
             raise ParameterError(
                 "invalid parameters: require s1 - 1 + p*a - 2*r*a > 0 "
                 "(first breakpoint would leave (0, 1/2))"
             )
-        if not self.s2 - 1 + self.q * self.a - 2 * self.r * self.a > 0:
+        if not (self.s2 - 1 + self.q * self.a - 2 * self.r * self.a > 0 and 0.5 < x3 < 1):
             raise ParameterError(
                 "invalid parameters: require s2 - 1 + q*a - 2*r*a > 0 "
                 "(third breakpoint would leave (1/2, 1))"

@@ -1,5 +1,6 @@
 """CLI behavior: flags, config files, schemas, determinism, exit codes."""
 
+import errno
 import json
 import os
 import stat
@@ -405,6 +406,34 @@ def test_output_onto_a_fifo_exits_2(tmp_path, run_cli):
     assert not list(tmp_path.rglob(".acimlab-*"))
 
 
+def test_failed_rename_leaves_no_temporary_file(tmp_path, monkeypatch, capsys):
+    def refuse(src, dst):
+        raise PermissionError(errno.EACCES, "Permission denied")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out = tmp_path / "x.csv"
+    assert cli.main([*DENSITY_EXAMPLE, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"acimlab: config error: cannot write output {out}: Permission denied\n"
+    )
+    assert not out.exists()
+    assert not list(tmp_path.rglob(".acimlab-*"))
+
+
+def test_interrupted_rename_leaves_no_temporary_file(tmp_path, monkeypatch):
+    # an exception that is no OSError, such as an interrupt, passes on unchanged
+    class Interrupted(BaseException):
+        pass
+
+    def interrupt(src, dst):
+        raise Interrupted
+
+    monkeypatch.setattr(os, "replace", interrupt)
+    with pytest.raises(Interrupted):
+        cli.main([*DENSITY_EXAMPLE, "--output", str(tmp_path / "x.csv")])
+    assert not list(tmp_path.iterdir())
+
+
 RATIOS_GOLDEN = [
     "ratios", "--s1", "1.5", "--s2", "3", "--p", "3", "--q", "2", "--r", "2",
     "--a-start", "0.01", "--a-stop", "0.0001", "--a-points", "3",
@@ -488,6 +517,56 @@ def test_classify_non_finite_slope_exits_2(tmp_path, run_cli, slopes):
     assert result.returncode == 2, result.stderr
     assert result.stdout == ""
     assert result.stderr == "acimlab: config error: classification requires finite s1 and s2\n"
+
+
+@pytest.mark.parametrize("slopes", [("0.5", "3"), ("3", "1")])
+def test_classify_slope_not_above_one_exits_2(tmp_path, run_cli, slopes):
+    s1, s2 = slopes
+    result = run_cli(["classify", "--s1", s1, "--s2", s2], tmp_path)
+    _rejected(result, "classification requires s1 > 1 and s2 > 1")
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args, needle",
+    [
+        (["map-eval", "--s1", "3", "--s2", "3", "--a", "-1e-3", "--x", "0.3"], "require a >= 0"),
+        (["map-eval", "--s1", "3", "--s2", "3", "--a", "-inf", "--x", "0.3"], "require finite a"),
+        (["map-eval", "--s1", "3", "--s2", "3", "--a", "0.01", "--x", "-1e-3"],
+         "x = -0.001 outside the map domain"),
+        (["map-eval", "--s1", "3", "--s2", "3", "--a", "0.01", "--x", "-.5E1"],
+         "x = -5.0 outside the map domain"),
+        (["sweep", "--s1", "3", "--s2", "3", "--a-start", "-inf", "--a-stop", "0.01",
+          "--a-points", "3", "--output", "x.csv"], "a_start must be finite (got -inf)"),
+    ],
+)
+def test_negative_flag_value_reaches_the_programs_checks(tmp_path, run_cli, args, needle):
+    # argparse alone reads "-1e-3" or "-inf" after a flag as another flag
+    _rejected(run_cli(args, tmp_path), needle)
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_map_eval_breakpoint_on_the_boundary_exits_2(tmp_path, run_cli):
+    # s1 - 1 + p*a - 2*r*a > 0 holds, yet the first breakpoint rounds to 0
+    args = ["--s1", "1.5", "--s2", "3", "--p", "0.5", "--q", "1", "--r", "5.249999999999999",
+            "--a", "0.05", "--x", "0.3"]
+    _rejected(run_cli(["map-eval", *args], tmp_path), "first breakpoint would leave (0, 1/2)")
+
+
+def test_loose_tail_tol_density_exits_3(tmp_path, run_cli):
+    # the series cut off at tail_tol = 0.5 normalizes to a cell at -0.15
+    result = run_cli(
+        ["density", "--s1", "1.5", "--s2", "3", "--p", "3", "--q", "2", "--r", "2",
+         "--a", "0.01", "--tail-tol", "0.5", "--output", "d.csv"],
+        tmp_path,
+    )
+    assert result.returncode == 3, result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr.splitlines() == [
+        "acimlab: computation error: normalized density has a cell at -1.501e-01 < -1e-9, "
+        "beyond rounding: not a density (a loose tail_tol truncates the series early)"
+    ]
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(

@@ -138,6 +138,30 @@ def test_normalize_degenerate():
         normalize(f)
 
 
+def test_normalize_clamps_rounding_and_rejects_a_negative_cell():
+    # -1e-10 is rounding residue and becomes 0 without a warning
+    tiny = PiecewiseConstantDensity(np.array([0.0, 0.5, 1.0]), np.array([2.0, -1e-10]))
+    assert normalize(tiny).values[1] == 0.0
+    wrong = PiecewiseConstantDensity(np.array([0.0, 0.5, 1.0]), np.array([2.2, -0.2]))
+    with pytest.raises(ComputationError, match="-2.000e-01 < -1e-9"):
+        normalize(wrong)
+    # a case-II series cut off by a loose tail_tol leaves a cell at -0.15
+    loose = solve_series(WParams(1.5, 3.0, 3.0, 2.0, 2.0, 0.01), tail_tol=0.5).density
+    with pytest.raises(ComputationError, match="-1.501e-01 < -1e-9"):
+        normalize(loose)
+
+
+def test_density_rejects_bad_shapes_and_order():
+    with pytest.raises(ParameterError, match="n\\+1 breakpoints"):
+        PiecewiseConstantDensity(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+    with pytest.raises(ParameterError, match="n\\+1 breakpoints"):
+        PiecewiseConstantDensity(np.zeros((2, 2)), np.array([1.0]))
+    with pytest.raises(ParameterError, match="strictly increasing"):
+        PiecewiseConstantDensity(np.array([0.0, 0.5, 0.5]), np.array([1.0, 1.0]))
+    with pytest.raises(ParameterError, match="lo <= hi"):
+        h0(2.0, 2.0).integral_over(0.6, 0.4)
+
+
 # ---------------------------------------------------------------------------
 # turning orbit
 
@@ -223,6 +247,18 @@ def test_closed_form_offset_is_measured_from_the_maps_fixed_point(rng):
     for _ in range(300):
         p = draw_any_case(rng)
         assert density._closed_form_offset(p)[0] == fixed_points(p)[0]
+
+
+def test_closed_form_k_steps_down_from_an_overshooting_guess():
+    # at a slope this close to 1 the logarithmic guess, 19862, overshoots
+    # k = 19825 by more than its margin of 3, so the search walks back down
+    params = WParams(1.0017959912657088, 557.7955808545208, 1, 1, 1, 2.3970218133048417e-11)
+    threshold = build_w_map(params).breakpoints[1]
+    x_l, offset, beta2 = density._closed_form_offset(params)
+    m = 2
+    while x_l - offset * beta2 ** (m - 2) > threshold:
+        m += 1
+    assert density._closed_form_k(params, threshold) == m == 19825
 
 
 def test_ak_trend_to_zero():

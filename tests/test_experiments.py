@@ -163,6 +163,29 @@ def test_uniform_bound_check_requires_case_iii():
         uniform_bound_check(FIG_FAMILY, [0.01])
 
 
+@pytest.mark.parametrize(
+    "schedule, needle",
+    [([], "empty"), ([1e-3, 1e-2], "decreasing"), ([1e-2, 1e-2], "decreasing")],
+)
+def test_uniform_bound_check_takes_the_sweeps_schedule_rule(schedule, needle):
+    # before, [] ended in max()'s bare ValueError and an increasing schedule
+    # read its growth flag at the largest a
+    with pytest.raises(ParameterError, match=needle):
+        uniform_bound_check(STRONG_FAMILY, schedule)
+
+
+def test_uniform_bound_check_reads_the_sweep_rows():
+    schedule = [1e-2, 1e-3]
+    report = uniform_bound_check(STRONG_FAMILY, schedule)
+    assert report.per_a == [(rec.a, rec.sup_density) for rec in sweep(STRONG_FAMILY, schedule)]
+
+
+def test_uniform_bound_check_failed_point_is_a_computation_error():
+    # r*a*(s2 + q*a - 1) = 0.69 > 1/2 at a = 0.3: outside the series regime
+    with pytest.raises(ComputationError, match=r"^bound point a=0\.3 failed: .*falling branch"):
+        uniform_bound_check(Family(3.0, 3.0, 1.0, 1.0, 1.0), [0.3, 0.01])
+
+
 def test_restricted_turning_map_invariant():
     params = CASE_I_FAMILY.at(0.05)
     tent = restricted_turning_map(params)

@@ -1,5 +1,6 @@
 """Map construction, evaluation, fixed points and case classification."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -173,6 +174,50 @@ def test_invalid_params_rejected(kwargs, fragment):
     with pytest.raises(ParameterError) as err:
         WParams(**base)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "params, fragment",
+    [
+        ((1.5, 3.0, 0.5, 1.0, 5.25, 0.05), "first breakpoint"),
+        ((3.0, 1.5, 1.0, 0.5, 5.25, 0.05), "third breakpoint"),
+    ],
+)
+def test_breakpoint_rounding_onto_the_boundary_is_rejected(params, fragment):
+    # s - 1 + p*a - 2*r*a vanishes at r = 5.25; just below it the rule holds
+    # algebraically, yet the breakpoint can round onto 0 (or 1).  No map
+    # WParams accepts there may fail build_w_map's ordering check; on the s2
+    # side its range check still rejects some, naming the image that leaves
+    # [0, 1].
+    s1, s2, p, q, r, a = params
+    rejected = 0
+    for _ in range(300):
+        r = math.nextafter(r, 0.0)
+        assert s1 - 1 + p * a - 2 * r * a > 0 and s2 - 1 + q * a - 2 * r * a > 0
+        try:
+            w_params = WParams(s1, s2, p, q, r, a)
+        except ParameterError as exc:
+            assert fragment in str(exc)
+            rejected += 1
+            continue
+        try:
+            x1, x3 = build_w_map(w_params).breakpoints[1:4:2]
+        except ParameterError as exc:
+            assert "leaves [0, 1]" in str(exc)
+        else:
+            assert 0.0 < x1 < 0.5 < x3 < 1.0
+    assert rejected > 0
+    with pytest.raises(ParameterError, match=fragment):
+        WParams(s1, s2, p, q, 5.249999999999999, a)
+
+
+def test_piecewise_linear_map_checks_its_arrays():
+    with pytest.raises(ParameterError, match="inconsistent branch arrays"):
+        wmap.PiecewiseLinearMap((0.0, 1.0), (2.0, 3.0), (0.0,))
+    with pytest.raises(ParameterError, match="inconsistent branch arrays"):
+        wmap.PiecewiseLinearMap((0.0, 1.0), (2.0,), (0.0, 1.0))
+    with pytest.raises(ParameterError, match="strictly increasing"):
+        wmap.PiecewiseLinearMap((0.0, 0.5, 0.5), (1.0, 1.0), (0.0, 0.0))
 
 
 def test_invariant_interval_fig2_family():
