@@ -321,10 +321,10 @@ class TurningOrbit:
 
     ``orbit[i]`` is W^(i+1)(1/2) and ``cum_slopes[i]`` the cumulative slope
     over the first i+1 steps, with the first factor s1 + p*a taken on the
-    rising branch.  ``k`` is the first index whose orbit point drops to or
-    below the left breakpoint of the rising branch; ``k1 = floor(2k/3)``.
-    ``closed_form_k`` is the same index predicted from the closed form of
-    the orbit while it rides the rising branch.
+    rising branch.  ``k``, the first index whose orbit point drops to or
+    below the left breakpoint of the rising branch, comes from the orbit's
+    closed form, and the walk is checked against it; ``closed_form_k`` is
+    the same index.  ``k1 = floor(2k/3)``.
     """
 
     orbit: np.ndarray
@@ -469,9 +469,10 @@ def _lambda_system(s11: float, s22: float) -> tuple[float, float]:
 def solve_series(params: WParams, tail_tol: float = DEFAULT_TAIL_TOL) -> SeriesSolution:
     """Walk the turning orbit once and derive k, Lambda and the series density.
 
-    One loop takes the steps, records each once, and tests the three
-    stopping rules as it goes; it ends at the first step where all three
-    are met, so the walk goes only as far as the longest of them needs:
+    k, the first step at or below the left breakpoint of the rising branch,
+    comes from the orbit's closed form.  One loop takes the steps, records
+    each once, and tests two stopping rules as it goes; it ends at the
+    first step where both are met and the walk has reached k:
 
     * S11 counts steps whose cumulative slope sign matches the side of 1/2
       the orbit point falls on; S22 uses the opposite pairing with the
@@ -480,10 +481,6 @@ def solve_series(params: WParams, tail_tol: float = DEFAULT_TAIL_TOL) -> SeriesS
       bound drops below SERIES_CUTOFF.  Lambda = 1/(1 - S11 - S22) is
       cross-checked against the 2x2 system, and lam_low, lam_high bound the
       series by geometric sums cut at k1.
-    * k is the first step at or below the left breakpoint of the rising
-      branch.  A walk that has not got there by twice the closed-form
-      index has lost the orbit to rounding (a below the precision floor)
-      and raises.
     * The density adds, per step, an indicator of [0, z_n] (positive
       cumulative slope) or [z_n, 1] (negative) weighted by the reciprocal
       cumulative slope, until the remaining mass, prefactor and Lambda
@@ -492,15 +489,19 @@ def solve_series(params: WParams, tail_tol: float = DEFAULT_TAIL_TOL) -> SeriesS
       Lambda, so the loop tests it from the step that fixes Lambda on, and
       a binary search over the recorded steps finds where it stopped.
 
+    After the loop the walk must reach the threshold first at step k.  A
+    walk that does not has lost the orbit's offset from the rising branch's
+    fixed point to rounding (a below the precision floor), and raises.
+
     In case II ||f||_1 shrinks like a, so there both SERIES_CUTOFF and
     tail_tol are relative to ||f||_1, taken as its a -> 0 limit |B/a| * a;
     in case III, where ||f||_1 stays of order one, they are absolute.
 
     Each rule stops at the step, and each sum adds in the order, that a
-    walk of its own would.  The errors come in the same order as the rules:
-    an S-series that misses the cutoff within MAX_SERIES_TERMS steps, a
-    singular Lambda, no k within 2 * closed_form_k steps, then a density
-    series that misses tail_tol within MAX_SERIES_TERMS steps.
+    walk of its own would.  The errors come in this order: an S-series that
+    misses the cutoff within MAX_SERIES_TERMS steps, a singular Lambda, a
+    density series that misses tail_tol (or a walk that has not reached k)
+    within MAX_SERIES_TERMS steps, then a walk that disagrees with k.
     """
     case = _require_series_case(params)
     if not (math.isfinite(tail_tol) and tail_tol > 0):
@@ -516,21 +517,18 @@ def solve_series(params: WParams, tail_tol: float = DEFAULT_TAIL_TOL) -> SeriesS
     threshold = pl_map.breakpoints[1]
     # raises first below the precision floor, where a case-II cutoff can
     # underflow to 0 and the S-series would never meet it
-    closed_form_k = _closed_form_k(params, threshold)
+    k = _closed_form_k(params, threshold)
     ratio_12 = -fall / beta  # cum-slope ratio of the two sides
-    limit = 2 * closed_form_k
 
     def below_tol(cum):  # the density's tail bound, once Lambda fixes it
         return bound / (abs(cum) * gap) < tol
 
     zs, cums = [], []
     s11 = s22 = 0.0
-    k = n_terms = 0
+    n_terms = 0
     for z, cum in islice(_orbit_steps(pl_map), MAX_SERIES_TERMS):
         zs.append(z)
         cums.append(cum)
-        if not k and z <= threshold:
-            k = len(zs)
         if not n_terms:
             # S11 takes the steps whose cumulative slope (never 0) has the sign
             # of the point's side of 1/2; ratio_12 < 0 flips that sign, so S22's
@@ -558,19 +556,19 @@ def solve_series(params: WParams, tail_tol: float = DEFAULT_TAIL_TOL) -> SeriesS
                 )
             coeff = (1.0 + beta / fall) * lam
             bound = abs(coeff)
-        if len(zs) >= limit and not 0 < k <= limit:
-            raise ComputationError(
-                f"turning orbit did not exit the rising branch within 2 * closed_form_k "
-                f"= {limit} steps: its offset from the fixed point is lost to "
-                f"float64 rounding, so a = {params.a!r} is below the precision floor",
-                steps=limit,
-            )
-        if k and below_tol(cum):
+        if len(zs) >= k and below_tol(cum):
             break
     else:
         if not n_terms:
             raise ComputationError("S-series did not meet the cutoff", steps=MAX_SERIES_TERMS)
         raise ComputationError("density series did not converge", steps=MAX_SERIES_TERMS)
+    if not zs[k - 1] <= threshold < min(zs[: k - 1], default=math.inf):
+        raise ComputationError(
+            f"turning orbit does not first reach the rising branch's left end at "
+            f"the closed form's k = {k}: its offset from the fixed point is lost "
+            f"to float64 rounding, so a = {params.a!r} is below the precision floor",
+            k=k,
+        )
 
     k1 = (2 * k) // 3
     kappa = (s1 + s2 + p * a + q * a) / (beta * fall)
@@ -587,7 +585,7 @@ def solve_series(params: WParams, tail_tol: float = DEFAULT_TAIL_TOL) -> SeriesS
         cum_slopes=cum[:k].copy(),
         k=k,
         k1=k1,
-        closed_form_k=closed_form_k,
+        closed_form_k=k,
         threshold=threshold,
     )
     lam_data = LambdaData(

@@ -27,7 +27,9 @@ class WParams:
 
     Validation happens on construction and rejects (never clamps) parameter
     combinations for which the map would leave [0, 1] or the branch
-    breakpoints would go out of order.
+    breakpoints would go out of order.  It computes the map's branch arrays
+    and checks them as computed, so a WParams always builds; build_w_map
+    reads the arrays kept here.
     """
 
     s1: float
@@ -57,24 +59,53 @@ class WParams:
             raise ParameterError(
                 f"invalid parameters: require r*a < 1/2 (got r*a = {self.r * self.a})"
             )
-        # Breakpoint ordering; equivalently the outer-branch denominators stay
-        # positive.  With r*a < 1/2 this also keeps every breakpoint image,
-        # {1, 0, 1/2 + r*a, 0, 1}, inside [0, 1].  Next to each boundary the
-        # breakpoint can still round onto 0 or 1, so it is also checked as
-        # build_w_map computes it.
-        lift = 0.5 + self.r * self.a
-        x1 = 0.5 - lift / (self.s1 + self.p * self.a)
-        x3 = 0.5 - lift / -(self.s2 + self.q * self.a)
-        if not (self.s1 - 1 + self.p * self.a - 2 * self.r * self.a > 0 and 0 < x1 < 0.5):
+        object.__setattr__(self, "_branches", _w_branches(self))
+
+
+def _w_branches(params: WParams) -> tuple[tuple[float, ...], ...]:
+    """(breakpoints, slopes, intercepts) of the four-branch W map, checked.
+
+    Breakpoint ordering is equivalent to positive outer-branch denominators,
+    and with r*a < 1/2 it keeps every breakpoint image, {1, 0, 1/2 + r*a,
+    0, 1}, inside [0, 1].  Next to each boundary a breakpoint can still
+    round onto 0 or 1, and an outer slope grow so large that an image
+    leaves [0, 1], so both are checked as computed here in float64.
+    """
+    s1, s2, p, q, r, a = params.s1, params.s2, params.p, params.q, params.r, params.a
+    b2 = s1 + p * a
+    b3 = -(s2 + q * a)
+    d1 = s1 - 1 + p * a - 2 * r * a
+    d4 = s2 - 1 + q * a - 2 * r * a
+    lift = 0.5 + r * a
+    x1 = 0.5 - lift / b2
+    x3 = 0.5 - lift / b3
+    if not (d1 > 0 and 0 < x1 < 0.5):
+        raise ParameterError(
+            "invalid parameters: require s1 - 1 + p*a - 2*r*a > 0 "
+            "(first breakpoint would leave (0, 1/2))"
+        )
+    if not (d4 > 0 and 0.5 < x3 < 1):
+        raise ParameterError(
+            "invalid parameters: require s2 - 1 + q*a - 2*r*a > 0 "
+            "(third breakpoint would leave (1/2, 1))"
+        )
+    b4 = -2 * b3 / d4
+    # Intercepts from the point-slope forms: branch 1 passes through (0, 1),
+    # branches 2 and 3 through (1/2, lift), branch 4 through (1, 1).
+    breakpoints = (0.0, x1, 0.5, x3, 1.0)
+    slopes = (-2 * b2 / d1, b2, b3, b4)
+    intercepts = (1.0, lift - b2 * 0.5, lift - b3 * 0.5, 1.0 - b4)
+    # Range validity at the five grid points (images are 1, 0, lift, 0, 1);
+    # each belongs to the branch on its right, and 1 to the last branch.  The
+    # raw branch formula, not the clamped rule, so a blown-up slope shows.
+    ends = zip(breakpoints, slopes + slopes[-1:], intercepts + intercepts[-1:])
+    for x, slope, intercept in ends:
+        y = slope * x + intercept
+        if not -1e-12 <= y <= 1 + 1e-12:
             raise ParameterError(
-                "invalid parameters: require s1 - 1 + p*a - 2*r*a > 0 "
-                "(first breakpoint would leave (0, 1/2))"
+                f"invalid parameters: breakpoint image W({x}) = {y} leaves [0, 1]"
             )
-        if not (self.s2 - 1 + self.q * self.a - 2 * self.r * self.a > 0 and 0.5 < x3 < 1):
-            raise ParameterError(
-                "invalid parameters: require s2 - 1 + q*a - 2*r*a > 0 "
-                "(third breakpoint would leave (1/2, 1))"
-            )
+    return breakpoints, slopes, intercepts
 
 
 @dataclass(frozen=True)
@@ -135,30 +166,7 @@ class PiecewiseLinearMap:
 
 def build_w_map(params: WParams) -> PiecewiseLinearMap:
     """Construct the four-branch W map for the given parameters."""
-    s1, s2, p, q, r, a = params.s1, params.s2, params.p, params.q, params.r, params.a
-    b2 = s1 + p * a
-    b3 = -(s2 + q * a)
-    b1 = -2 * b2 / (s1 - 1 + p * a - 2 * r * a)
-    b4 = -2 * b3 / (s2 - 1 + q * a - 2 * r * a)
-    lift = 0.5 + r * a
-    x1 = 0.5 - lift / b2
-    x3 = 0.5 - lift / b3
-    # Intercepts from the point-slope forms: branch 1 passes through (0, 1),
-    # branches 2 and 3 through (1/2, lift), branch 4 through (1, 1).
-    slopes = (b1, b2, b3, b4)
-    intercepts = (1.0, lift - b2 * 0.5, lift - b3 * 0.5, 1.0 - b4)
-    pl_map = PiecewiseLinearMap((0.0, x1, 0.5, x3, 1.0), slopes, intercepts)
-    # Range validity at the five grid points (images are 1, 0, lift, 0, 1);
-    # each belongs to the branch on its right, and 1 to the last branch.  The
-    # raw branch formula, not the clamped rule, so a blown-up slope shows.
-    ends = zip(pl_map.breakpoints, slopes + slopes[-1:], intercepts + intercepts[-1:])
-    for x, slope, intercept in ends:
-        y = slope * x + intercept
-        if not -1e-12 <= y <= 1 + 1e-12:
-            raise ParameterError(
-                f"invalid parameters: breakpoint image W({x}) = {y} leaves [0, 1]"
-            )
-    return pl_map
+    return PiecewiseLinearMap(*params._branches)
 
 
 def classify_case(s1, s2) -> str:

@@ -258,7 +258,23 @@ def test_orbit_walk_below_precision_floor_exits_3(tmp_path, run_cli):
     assert result.returncode == 3, result.stderr
     assert "Traceback" not in result.stderr
     assert len(result.stderr.splitlines()) == 1
-    assert "2 * closed_form_k = 106 steps" in result.stderr
+    assert "closed form's k = 53" in result.stderr
+    assert "precision floor" in result.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_orbit_walk_off_the_closed_form_k_exits_3(tmp_path, run_cli):
+    # the figure family's float64 walk exits at 83 where the exact orbit and
+    # the closed form exit at 82
+    result = run_cli(
+        ["density", "--s1", "1.5", "--s2", "3", "--p", "3", "--q", "2", "--r", "2",
+         "--a", "1e-8", "--output", "x.csv"],
+        tmp_path,
+    )
+    assert result.returncode == 3, result.stderr
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    assert "closed form's k = 82" in result.stderr
     assert "precision floor" in result.stderr
     assert not (tmp_path / "x.csv").exists()
 

@@ -277,7 +277,9 @@ def test_turning_orbit_rejects_case_i():
 
 def test_turning_orbit_truncation_error(monkeypatch):
     # at a = 1e-8 the float64 orbit of (2, 2, 1, 1, 1) sticks to the rising
-    # branch's fixed point; the walk gives up after 2 * closed_form_k steps
+    # branch's fixed point and misses the closed form's k = 53; the walk
+    # stops at the density's own rule, 65 steps, and the check of the walk
+    # against k raises
     params = WParams(2, 2, 1, 1, 1, 1e-8)
     assert density._closed_form_k(params, build_w_map(params).breakpoints[1]) == 53
     walk = density._orbit_steps
@@ -291,7 +293,44 @@ def test_turning_orbit_truncation_error(monkeypatch):
     monkeypatch.setattr(density, "_orbit_steps", counted)
     with pytest.raises(ComputationError, match="precision floor"):
         solve_series(params)
-    assert len(steps) == 2 * 53
+    assert len(steps) == 65
+
+
+@pytest.mark.parametrize(
+    "params, k",
+    [
+        # slopes near 1: the walk leaves the rising branch at 13739
+        (WParams(1.0017959912657088, 557.7955808545208, 1, 1, 1, 2.3970218133048417e-11), 19825),
+        (WParams(1.5, 3, 3, 2, 2, 1e-8), 82),  # the walk exits at 83
+        (WParams(1.25, 5, 1, 2, 1, 1e-8), 151),  # the walk exits at 153
+    ],
+)
+def test_walk_that_disagrees_with_the_closed_form_k_raises(params, k):
+    assert density._closed_form_k(params, build_w_map(params).breakpoints[1]) == k
+    with pytest.raises(ComputationError, match=f"closed form's k = {k}: .* precision floor"):
+        solve_series(params)
+
+
+def test_case_ii_k_is_exact_or_the_solve_raises():
+    """Seeded case-II draws with slopes from 1.1 to 4.2 at a = 3e-9 to 1e-7,
+    where a float64 walk can drift off the exact orbit: a solve returns the
+    exact k of the float-built map, or raises."""
+    rng = np.random.default_rng(31)
+    solved = 0
+    for _ in range(100):
+        s1 = 1 + 10 ** rng.uniform(-1, 0.5)
+        p, q, r = rng.uniform(0.2, 3, 3)
+        params = WParams(s1, s1 / (s1 - 1), p, q, r, 10 ** rng.uniform(-8.5, -7))
+        try:
+            k = solve_series(params).orbit.k
+        except ComputationError:
+            continue
+        exact_k = exact_oracle.turning_orbit(
+            params.s1, params.s2, params.p, params.q, params.r, params.a
+        )[2]
+        assert k == exact_k, params
+        solved += 1
+    assert solved >= 50
 
 
 def test_s_series_cutoff_error(monkeypatch):
@@ -339,9 +378,10 @@ LAMBDA_PROBE = WParams(3.0, 3.0, 1.0, 1.0, 1.0, 0.01)  # closed_form_k = 5
     ],
 )
 def test_singular_lambda_and_the_precision_floor(monkeypatch, first_cum, n_idle, message):
-    # with 15 idle steps the S-series outlast 2 * closed_form_k = 10 and k is
-    # never found: a singular Lambda is still reported first, and a regular
-    # one lets the walk stop at once with the precision-floor error
+    # the synthetic walk never reaches the threshold, and with 15 idle steps
+    # the S-series outlast k = 5: a singular Lambda is still reported first,
+    # and a regular one lets the walk stop at once, at the density rule, with
+    # the orbit check's precision-floor error
     taken = synthetic_walk(monkeypatch, first_cum, n_idle)
     with pytest.raises(ComputationError, match=message):
         solve_series(LAMBDA_PROBE)
@@ -440,13 +480,15 @@ def test_invariance_under_transfer_operator(rng):
         assert l1_distance(pf, f) < 10 * tail_tol
 
 
-@pytest.mark.parametrize("a", [1e-2, 1e-4, 1e-6])
+@pytest.mark.parametrize("a", [10.0 ** (-2 - 0.5 * i) for i in range(9)])
 @pytest.mark.parametrize(
     "family", [(1.5, 3.0, 3.0, 2.0, 2.0), (2.0, 2.0, 1.0, 1.0, 1.0), (1.25, 5.0, 1.0, 2.0, 1.0)]
 )
 def test_case_ii_series_density_keeps_its_relative_invariance(family, a):
     """In case II ||f||_1 shrinks like a; the residual relative to it, taken
-    exactly, stays within twice the tail tolerance."""
+    exactly, stays within twice the tail tolerance.  The schedule is the
+    benchmark's series sweep, whose points fail past that bound; the
+    closest, (2, 2, 1, 1, 1) at a = 1e-6, uses 0.72 of it."""
     f = solve_series(WParams(*family, a)).density
     residual = exact_oracle.relative_invariance_residual((*family, a), f.breakpoints, f.values)
     assert residual <= 2 * density.DEFAULT_TAIL_TOL
@@ -473,6 +515,31 @@ def test_case_ii_peak_is_a_plateau_carrying_the_limit_atom(family):
     for gaps in (mass_gaps, sup_gaps):
         assert all(b < a for a, b in zip(gaps, gaps[1:])), gaps
         assert gaps[-1] < 1e-4
+
+
+@pytest.mark.parametrize(
+    "family", [(2.0, 2.0, 1.0, 1.0, 1.0), (1.5, 3.0, 3.0, 2.0, 2.0)]  # theta = 2 and 7
+)
+def test_peak_mass_crosses_over_from_case_ii_to_case_iii(family):
+    """Case III next to the case-II boundary, s2 moved up by d, at
+    a = x * eps with eps = s1*s2 - s1 - s2: the normalized mass P on
+    J_a = [1/2 - r*a/(s1 - 1), 1/2 + r*a] follows
+    P/(1 - P) = (atom/num) * theta*x / (theta*x + 1) with the boundary
+    family's atom/num and theta, so c = x*(R0/R - 1), R = P/(1 - P) and
+    R0 = atom/num, tends to 1/theta.  At fixed x the gap |c*theta - 1|
+    shrinks as d falls (8.6e-6 to 4.4e-3 at d = 1e-5)."""
+    s1, s2, p, q, r = family
+    theta, num, atom, _ = density._case_ii_sums(*family)
+    for x in (0.01, 0.1, 1.0):
+        gaps = []
+        for d in (1e-3, 1e-4, 1e-5):
+            eps = s1 * (s2 + d) - s1 - (s2 + d)
+            a = x * eps
+            h = normalize(solve_series(WParams(s1, s2 + d, p, q, r, a)).density)
+            mass = h.integral_over(0.5 - r * a / (s1 - 1), 0.5 + r * a)
+            c = x * (atom / num * (1 - mass) / mass - 1)
+            gaps.append(abs(c * theta - 1))
+        assert gaps[0] > gaps[1] > gaps[2], (x, gaps)
 
 
 def test_transfer_operator_fixes_h0():

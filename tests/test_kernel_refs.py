@@ -122,8 +122,10 @@ def reference_wasserstein1(mu, nu):
 
 
 def reference_solve_series(params, tail_tol=DEFAULT_TAIL_TOL):
-    """One walk with the three stopping rules tested step by step in Python,
-    the 2x2 cross-check by np.linalg.solve and the reference accumulation.
+    """One walk with the two stopping rules tested step by step in Python,
+    k from the closed form and the walk checked against it after the
+    density's rule, the 2x2 cross-check by np.linalg.solve and the reference
+    accumulation.
 
     Returns the orbit, the LambdaData fields and the density's arrays.
     """
@@ -138,18 +140,16 @@ def reference_solve_series(params, tail_tol=DEFAULT_TAIL_TOL):
     pl_map = build_w_map(params)
     gap = pl_map.min_abs_slope - 1.0
     threshold = pl_map.breakpoints[1]
-    closed_form_k = density._closed_form_k(params, threshold)
+    k = density._closed_form_k(params, threshold)
     ratio_12 = -(s2 + q * a) / (s1 + p * a)
     steps = density._orbit_steps(pl_map)
     zs, cums = [], []
-    n = k = 0
+    n = 0
     s11 = s22 = 0.0
     for z, cum in steps:
         zs.append(z)
         cums.append(cum)
         n += 1
-        if not k and z <= threshold:
-            k = n
         if (cum > 0 and z > 0.5) or (cum < 0 and z < 0.5):
             s11 += 1.0 / abs(cum)
         cum2 = cum * ratio_12
@@ -166,20 +166,6 @@ def reference_solve_series(params, tail_tol=DEFAULT_TAIL_TOL):
     lam = 1.0 / denominator
     d1, d2 = np.linalg.solve(np.array([[1.0 - s11, -s22], [-s11, 1.0 - s22]]), np.ones(2))
     assert abs(d1 - lam) <= 1e-6 * abs(lam) and abs(d2 - lam) <= 1e-6 * abs(lam)
-    limit = 2 * closed_form_k
-    while not k and n < limit:
-        z, cum = next(steps)
-        zs.append(z)
-        cums.append(cum)
-        n += 1
-        if z <= threshold:
-            k = n
-    if not 0 < k <= limit:
-        raise ComputationError(
-            f"turning orbit did not exit the rising branch within 2 * closed_form_k "
-            f"= {limit} steps: its offset from the fixed point is lost to "
-            f"float64 rounding, so a = {params.a!r} is below the precision floor"
-        )
     k1 = (2 * k) // 3
     kappa = (s1 + s2 + p * a + q * a) / ((s1 + p * a) * (s2 + q * a))
     eta = (s1 + s2 + p * a + q * a) / ((s2 + q * a) ** 2 * (s1 + p * a - 1))
@@ -202,13 +188,29 @@ def reference_solve_series(params, tail_tol=DEFAULT_TAIL_TOL):
             break
         if n_density >= MAX_SERIES_TERMS:
             raise ComputationError("density series did not converge", steps=n_density)
+    while n < k:  # the walk goes on to k
+        z, cum = next(steps)
+        zs.append(z)
+        cums.append(cum)
+        n += 1
+    exit_step = 0
+    for m, z in enumerate(zs, 1):  # the walk's first step at or below the threshold
+        if z <= threshold:
+            exit_step = m
+            break
+    if exit_step != k:
+        raise ComputationError(
+            f"turning orbit does not first reach the rising branch's left end at "
+            f"the closed form's k = {k}: its offset from the fixed point is lost "
+            f"to float64 rounding, so a = {params.a!r} is below the precision floor"
+        )
     z = np.array(zs[:n_density])
     cum = np.array(cums[:n_density])
     rising = cum > 0
     bp, values = reference_accumulate(
         np.where(rising, 0.0, z), np.where(rising, z, 1.0), coeff / np.abs(cum), 1.0, (0.0, 1.0)
     )
-    orbit = (np.array(zs[:k]), np.array(cums[:k]), k, k1, closed_form_k, threshold)
+    orbit = (np.array(zs[:k]), np.array(cums[:k]), k, k1, k, threshold)
     return orbit, lam_fields, (bp, values)
 
 
